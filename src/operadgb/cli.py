@@ -206,7 +206,7 @@ def cmd_ambiguities(cfg: RunConfig, out=None) -> int:
     print(f"{len(ambs)} critical pairs at degree {n}; "
           f"{nonzero} nonzero residues modulo {cfg.modulo}", file=out)
     if cfg.modulo == "gd":
-        found = independent_identities(residues, builtins["gd"], n)
+        found = independent_identities(residues, gd_basis)
         print(f"independent special identities found: {len(found)}", file=out)
     return EXIT_OK
 

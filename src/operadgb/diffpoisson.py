@@ -30,13 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
-from .elements import OperadElement
-from .groebner import GroebnerBasis, buchberger, reduce_element
-from .presentation import Presentation, permute_element
+from .elements import OperadElement, reduce_row
+from .groebner import GroebnerBasis, reduce_element
+from .presentation import permute_element
 from .trees import Tree, leaf, node, relabel_ordered
 
 
@@ -71,10 +71,6 @@ Chain = tuple  # tuple[Letter, ...], right-nested bracket chain
 PMonomial = tuple  # tuple[Chain, ...], sorted commutative product
 
 App = tuple  # ("L", ci) | ("P0", ai, bi) | ("P", ai, ci, flip)
-
-
-def letter_weight(l: Letter) -> int:
-    return l.order - 1
 
 
 def chain_weight(c: Chain) -> int:
@@ -444,7 +440,7 @@ class RewriteContext:
                             continue  # keep one orientation per bracket
                         opts.append(letters)
                     chain_options.append(opts)
-                for chains in _product(chain_options):
+                for chains in product(*chain_options):
                     out.add(self.make_monomial(chains))
         return sorted(out, key=self.pm_key)
 
@@ -488,21 +484,6 @@ class RewriteContext:
         if modulo is not None:
             res = reduce_element(res, modulo)
         return res
-
-    def gd_expression(self, identity_instance: OperadElement) -> dict[BasisElem, Fraction]:
-        nf = reduce_element(identity_instance, self.basis)
-        vars = tuple(range(1, nf.arity + 1))
-        return {self.base(t, vars): c for t, c in nf.terms.items()}
-
-
-def _product(choices):
-    if not choices:
-        yield ()
-        return
-    head, rest = choices[0], choices[1:]
-    for h in head:
-        for tail in _product(rest):
-            yield (h,) + tail
 
 
 def set_partitions(items: list) -> Iterable[list[list]]:
@@ -630,246 +611,37 @@ def element_orbit(e: OperadElement) -> list[OperadElement]:
 
 def orbit_pivots(elems: Iterable[OperadElement], basis: GroebnerBasis,
                  pivots: dict | None = None) -> dict:
-    """Gaussian pivots of the span of all orbit images of the given
-    elements, reduced modulo the basis."""
-    order = basis.order
+    """Echelon pivots (lead -> monic tail) of the span of all orbit images
+    of the given elements, reduced modulo the basis."""
+    key = basis.order.key
     pivots = dict(pivots or {})
     for e in elems:
         for img in element_orbit(e):
-            row = dict(reduce_element(img, basis).terms)
-            while row:
-                lead = max(row, key=order.key)
-                piv = pivots.get(lead)
-                if piv is None:
-                    lc = row[lead]
-                    pivots[lead] = {t: c / lc for t, c in row.items()}
-                    break
-                c = row.pop(lead)
-                for t, v in piv.items():
-                    if t is lead:
-                        continue
-                    s = row.get(t, Fraction(0)) - c * v
-                    if s:
-                        row[t] = s
-                    else:
-                        row.pop(t, None)
+            found = reduce_row(dict(reduce_element(img, basis).terms),
+                               pivots, key)
+            if found is not None:
+                lead, tail = found
+                pivots[lead] = tail
     return pivots
 
 
 def independent_identities(residues: Sequence[OperadElement],
-                           gd_presentation: Presentation,
-                           arity: int) -> list[OperadElement]:
+                           basis: GroebnerBasis) -> list[OperadElement]:
     """Greedy filtration: keep the residues that are new as identities,
-    i.e. not consequences of the presentation plus the previously kept
-    residues (with their full permutation orbits)."""
+    i.e. not consequences of the basis plus the previously kept residues
+    (with their full permutation orbits).
+
+    At the residues' arity n the ideal generated by the basis and arity-n
+    identities is the basis' own ideal plus the span of the identities'
+    S_n-orbits, so being new is a rank increase of ``orbit_pivots``.
+    """
     found: list[OperadElement] = []
-    relations = list(gd_presentation.relations)
-    basis = buchberger(
-        Presentation(gd_presentation.name, gd_presentation.generators,
-                     tuple(relations)), arity)
+    key = basis.order.key
+    pivots: dict = {}
     for res in residues:
-        if res.is_zero():
-            continue
-        if reduce_element(res, basis).is_zero():
+        row = dict(reduce_element(res, basis).terms)
+        if reduce_row(row, pivots, key) is None:
             continue
         found.append(res)
-        for img in element_orbit(res):
-            relations.append(img)
-        basis = buchberger(
-            Presentation(f"{gd_presentation.name}+found",
-                         gd_presentation.generators, tuple(relations)), arity)
+        pivots = orbit_pivots([res], basis, pivots)
     return found
-
-
-# ---------------------------------------------------------------------------
-# Lyndon-Shirshov words over abstract derived letters
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiffGenerator:
-    """An abstract derived letter b^(n): a base symbol plus a derivative
-    order, ordered by (base, -order) lexicographically."""
-
-    base: str
-    order: int
-    base_rank: int = 0
-
-    def key(self) -> tuple:
-        return (self.base_rank, -self.order)
-
-    def __str__(self) -> str:
-        if self.order <= 3:
-            return self.base + "'" * self.order
-        return f"{self.base}^({self.order})"
-
-
-@dataclass(frozen=True)
-class LSWord:
-    """An associative Lyndon-Shirshov word with its standard bracketing."""
-
-    letters: tuple[DiffGenerator, ...]
-
-    def bracketing(self):
-        return _standard_bracketing(self.letters)
-
-    def __str__(self) -> str:
-        return " ".join(str(l) for l in self.letters)
-
-
-def _word_key(letters: Sequence[DiffGenerator]) -> tuple:
-    return tuple(l.key() for l in letters)
-
-
-def _is_lyndon(letters: Sequence[DiffGenerator]) -> bool:
-    """Smaller than every proper rotation (words of equal length compare
-    letterwise under the derived-letter order)."""
-    w = _word_key(letters)
-    n = len(w)
-    if n == 1:
-        return True
-    for i in range(1, n):
-        if not w < w[i:] + w[:i]:
-            return False
-    return True
-
-
-def _standard_bracketing(letters: tuple[DiffGenerator, ...]):
-    if len(letters) == 1:
-        return letters[0]
-    # split at the longest proper suffix that is itself a Lyndon word
-    for i in range(1, len(letters)):
-        if _is_lyndon(letters[i:]):
-            return (_standard_bracketing(letters[:i]),
-                    _standard_bracketing(letters[i:]))
-    raise DiffPoissonError("not a Lyndon word")
-
-
-def _reduced_pattern(letters: Sequence[DiffGenerator]) -> bool:
-    """Words of the universal differential envelope basis: groups of weakly
-    ascending underived letters each capped by a derived letter at least as
-    large (single letters are always allowed)."""
-    if len(letters) == 1:
-        return True
-    group: list[DiffGenerator] = []
-    for l in letters:
-        if l.order == 0:
-            if group and group[-1].base_rank > l.base_rank:
-                return False
-            group.append(l)
-        else:
-            if group and group[-1].base_rank > l.base_rank:
-                return False
-            group = []
-    return not group  # every group must end with a derived letter
-
-
-def ls_basis(bases: Sequence[str], degree: int, weight: int,
-             max_order: int | None = None) -> list[LSWord]:
-    """Reduced Lyndon-Shirshov words over distinct letters from ``bases``
-    (listed in ascending order) with the given degree and weight.
-
-    The weight of a degree-d word with derivative orders m_1..m_d is
-    sum(m_i) - 1, so the total derivative order is weight + 1.
-    """
-    total = weight + 1
-    if total < 0 or degree < 1 or degree > len(bases):
-        return []
-    cap = total if max_order is None else min(max_order, total)
-    out: list[LSWord] = []
-    for names in permutations(range(len(bases)), degree):
-        for orders in weak_compositions(total, degree):
-            if any(o > cap for o in orders):
-                continue
-            letters = tuple(DiffGenerator(bases[i], o, i)
-                            for i, o in zip(names, orders))
-            if not _reduced_pattern(letters):
-                continue
-            if not _is_lyndon(letters):
-                continue
-            out.append(LSWord(letters))
-    out.sort(key=lambda w: _word_key(w.letters))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# rule listings
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LieRule:
-    """An instance of the differential Lie envelope family with principal
-    part {a, b^(n)}, a > b."""
-
-    a: BasisElem
-    b: BasisElem
-    n: int
-
-    def principal(self, ctx: RewriteContext) -> PMonomial:
-        _s, chain = ctx.make_chain((Letter(self.a, 0), Letter(self.b, self.n)))
-        return ctx.make_monomial([chain])
-
-    def replacement(self, ctx: RewriteContext) -> dict[PMonomial, Fraction]:
-        pm = self.principal(ctx)
-        return ctx.apply(pm, ("L", 0))
-
-    def __str__(self) -> str:
-        return f"{{a,b^({self.n})}} -> [a,b]^({self.n}) - sum"
-
-
-def lie_rewrite_rules(ctx: RewriteContext, bases: Sequence[BasisElem],
-                      max_order: int) -> list[LieRule]:
-    """Rules {a, b^(n)} for all pairs a > b in the slice, n <= max_order."""
-    rules = []
-    ordered = sorted(bases, key=lambda b: b.key)
-    for i, b in enumerate(ordered):
-        for a in ordered[i + 1:]:
-            for n in range(max_order + 1):
-                rules.append(LieRule(a, b, n))
-    return rules
-
-
-@dataclass(frozen=True)
-class PoissonRule:
-    """An instance of the Poisson envelope family: an underived factor
-    ``alpha`` against a chain of the given interior ending in beta^(n)."""
-
-    alpha: BasisElem
-    interior: tuple[Letter, ...]
-    beta: BasisElem
-    n: int
-
-    def principal(self, ctx: RewriteContext) -> PMonomial:
-        last = Letter(self.beta, self.n)
-        if self.interior:
-            _s, chain = ctx.make_chain(self.interior + (last,))
-        else:
-            chain = (last,)
-        return ctx.make_monomial([(Letter(self.alpha, 0),), chain])
-
-    def replacement(self, ctx: RewriteContext) -> dict[PMonomial, Fraction]:
-        pm = self.principal(ctx)
-        apps = [a for a in ctx.applications(pm) if a[0] != "L"]
-        return ctx.apply(pm, apps[0])
-
-    def cooked(self, ctx: RewriteContext) -> dict[PMonomial, Fraction]:
-        """Replacement rewritten to normal form (closed for weight -1)."""
-        return ctx.normal_form(self.replacement(ctx))
-
-
-def poisson_rewrite_rules(ctx: RewriteContext, bases: Sequence[BasisElem],
-                          max_degree: int) -> list[PoissonRule]:
-    """Product rules alpha * b^(n) and the depth-one chain rules
-    alpha * {g, b^(n)}; deeper chains are generated on the fly by the
-    rewriting engine itself."""
-    rules = []
-    for alpha in bases:
-        for beta in bases:
-            if beta is alpha:
-                continue
-            for n in range(1, max_degree):
-                rules.append(PoissonRule(alpha, (), beta, n))
-            for g in bases:
-                if g is alpha or g is beta:
-                    continue
-                rules.append(PoissonRule(alpha, (Letter(g, 0),), beta, 1))
-    return rules

@@ -9,15 +9,14 @@ rank computations.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from itertools import product
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .trees import (
     Occurrence,
     ShufflePartition,
     Tree,
     TreeOrder,
-    is_complete,
-    leaf,
     relabel_ordered,
     replace_at,
     substitute,
@@ -145,11 +144,6 @@ class OperadElement:
         return self.scale(Fraction(1) / lc)
 
 
-def add(f: OperadElement, g: OperadElement) -> OperadElement:
-    """Coefficientwise sum; arities must agree."""
-    return f + g
-
-
 def element_from_terms(pairs: Iterable[tuple[Fraction | int, Tree]],
                        arity: int | None = None) -> OperadElement:
     acc: dict[Tree, Fraction] = {}
@@ -190,7 +184,7 @@ def shuffle_compose(f: OperadElement, pi: ShufflePartition,
     n = pi.total
     acc: dict[Tree, Fraction] = {}
     for tf, cf in f.terms.items():
-        for choice in _term_products(gs):
+        for choice in product(*(g.terms.items() for g in gs)):
             coeff = cf
             mons: list[Tree] = []
             for tg, cg in choice:
@@ -203,24 +197,6 @@ def shuffle_compose(f: OperadElement, pi: ShufflePartition,
             else:
                 acc.pop(m, None)
     return OperadElement(acc, n)
-
-
-def _term_products(gs: Sequence[OperadElement]):
-    if not gs:
-        yield ()
-        return
-    head, rest = gs[0], gs[1:]
-    for item in head.terms.items():
-        for tail in _term_products(rest):
-            yield (item,) + tail
-
-
-def identity_partition(n: int) -> ShufflePartition:
-    return ShufflePartition(tuple((i,) for i in range(1, n + 1)))
-
-
-def identity_args(n: int) -> list[OperadElement]:
-    return [OperadElement.monomial(leaf(1)) for _ in range(n)]
 
 
 def graft_at(host: Tree, occ: Occurrence, replacement: OperadElement) -> OperadElement:
@@ -246,9 +222,34 @@ def graft_at(host: Tree, occ: Occurrence, replacement: OperadElement) -> OperadE
     return OperadElement(acc, host.arity)
 
 
-def validate_complete(f: OperadElement) -> OperadElement:
-    """Check every monomial uses leaf labels 1..n exactly."""
-    for t in f.terms:
-        if not is_complete(t):
-            raise ElementError(f"monomial {t} does not use labels 1..{t.arity}")
-    return f
+# ---------------------------------------------------------------------------
+# exact elimination
+# ---------------------------------------------------------------------------
+
+def reduce_row(row: dict[Hashable, Fraction],
+               pivots: Mapping[Hashable, dict[Hashable, Fraction]],
+               key: Callable[[Hashable], object],
+               ) -> tuple[Hashable, dict[Hashable, Fraction]] | None:
+    """Forward-reduce a sparse row by echelon pivots.
+
+    ``pivots`` maps each pivot lead to its monic tail: the pivot row minus
+    its lead term, divided by the lead coefficient.  Leads are taken
+    greatest first under ``key``; a lead without a pivot ends the
+    reduction.  Returns ``(lead, tail)`` with the tail made monic the same
+    way, or ``None`` when the row reduces to zero.  ``row`` is consumed.
+    Monomials are compared only by equality, so any hashable monomial type
+    works, interned or not.
+    """
+    while row:
+        lead = max(row, key=key)
+        c = row.pop(lead)
+        tail = pivots.get(lead)
+        if tail is None:
+            return lead, {t: v / c for t, v in row.items()}
+        for t, v in tail.items():
+            s = row.get(t, Fraction(0)) - c * v
+            if s:
+                row[t] = s
+            else:
+                row.pop(t, None)
+    return None

@@ -16,9 +16,11 @@ from .commutative import (
     Poly,
     ZERO,
     is_groebner,
+    mono_key,
     normal_monomials_up_to,
     reduce_poly,
 )
+from .elements import reduce_row
 
 
 class GDModelError(ValueError):
@@ -451,29 +453,13 @@ def verify_embedding(t: GDTable, env: EnvelopeSpec,
     rep.record("embedding preserves the multiplication table", emb_ok, witness)
 
     # images linearly independent modulo the ideal
-    rows = [dict(nf(img).terms) for img in env.embedding]
-    rank = 0
     pivots: dict = {}
-    from .commutative import mono_key
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = max(row, key=mono_key)
-            if lead in pivots:
-                c = row.pop(lead)
-                for m, v in pivots[lead].items():
-                    if m == lead:
-                        continue
-                    s = row.get(m, Fraction(0)) - c * v
-                    if s:
-                        row[m] = s
-                    else:
-                        row.pop(m, None)
-            else:
-                lc = row[lead]
-                pivots[lead] = {m: c / lc for m, c in row.items()}
-                rank += 1
-                break
+    for img in env.embedding:
+        found = reduce_row(dict(nf(img).terms), pivots, mono_key)
+        if found is not None:
+            lead, tail = found
+            pivots[lead] = tail
+    rank = len(pivots)
     rep.record("images linearly independent", rank == t.dim,
                f"rank {rank} < {t.dim}" if rank != t.dim else "")
     return rep.passed

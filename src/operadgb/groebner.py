@@ -11,8 +11,8 @@ equal-arity divisor is the whole tree), so all interaction inside a stratum
 is plain linear algebra.
 
 Reduction is deterministic (greatest reducible monomial first, divisor
-found at the first pre-order position, rules tried in a fixed order) and,
-on a frozen completed basis, pure and safe to share between threads.
+found at the first pre-order position, rules tried in a fixed order).  The
+reducer fills its memos lazily, so it is not safe to share between threads.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import hashlib
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .elements import OperadElement, graft_at
+from .elements import OperadElement, graft_at, reduce_row
 from .presentation import Presentation
 from .syntax import format_element, parse_element, parse_monomial
 from .trees import (
@@ -127,9 +127,6 @@ class _Reducer:
                     out.append((rule, occ))
         return out
 
-    def is_normal(self, m: Tree) -> bool:
-        return self.find_divisor(m) is None
-
     def nf_monomial(self, m: Tree) -> dict[Tree, Fraction]:
         memo = self._memo
         cached = memo.get(m)
@@ -213,9 +210,6 @@ class GroebnerBasis:
     def rule_counts(self) -> dict[int, int]:
         return {a: len(rs) for a, rs in sorted(self.rules_by_arity().items())}
 
-    def leads(self) -> list[Tree]:
-        return [r.lead for r in self.rules]
-
     def __repr__(self) -> str:
         return (f"GroebnerBasis({self.presentation_name}, order={self.order_id}, "
                 f"max_arity={self.max_arity}, rules={self.rule_counts()})")
@@ -255,102 +249,19 @@ def reduce_random(f: OperadElement, basis: GroebnerBasis, rng) -> OperadElement:
 
 
 # ---------------------------------------------------------------------------
-# S-polynomials
+# overlaps, S-polynomials and stratum elimination
 # ---------------------------------------------------------------------------
 
-def _spoly(m: Tree, r1: RewriteRule, o1: Occurrence, r2: RewriteRule,
-           o2: Occurrence) -> OperadElement:
-    return graft_at(m, o1, r1.tail) - graft_at(m, o2, r2.tail)
+def overlaps(rules: Sequence[RewriteRule], K: int,
+             gens: Sequence[GeneratorSymbol], order: TreeOrder):
+    """Every minimal common multiple of arity exactly K of two rule leads,
+    as ``(m, r1, occ1, r2, occ2)``: the two occurrences share a vertex and
+    jointly cover ``m``.
 
-
-def s_polynomials(r1: RewriteRule, r2: RewriteRule, max_arity: int,
-                  gens: Sequence[GeneratorSymbol]) -> list[OperadElement]:
-    """All S-polynomials of the two rules from common multiples of arity up
-    to ``max_arity`` (vertex-sharing overlaps)."""
-    out: list[OperadElement] = []
-    lo = max(r1.arity, r2.arity)
-    hi = min(max_arity, r1.arity + r2.arity - 2)
-    for K in range(lo, hi + 1):
-        for m, o1, o2 in _shared_overlaps(r1, r2, K, gens):
-            out.append(_spoly(m, r1, o1, r2, o2))
-    return out
-
-
-def _shared_overlaps(r1: RewriteRule, r2: RewriteRule, K: int,
-                     gens: Sequence[GeneratorSymbol]):
-    seen: set = set()
-    for base, other, swap in ((r1, r2, False), (r2, r1, True)):
-        for m, root_occ in extensions(base.lead, K, gens):
-            allv = frozenset(iter_positions(m))
-            for occ in find_occurrences(other.lead, m):
-                if base is other and occ.path == root_occ.path:
-                    continue
-                if not (root_occ.vertices & occ.vertices):
-                    continue
-                if (root_occ.vertices | occ.vertices) != allv:
-                    continue
-                o1, o2 = (occ, root_occ) if swap else (root_occ, occ)
-                key = (m, o1.path, o2.path)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield m, o1, o2
-        if r1 is r2:
-            break
-
-
-# ---------------------------------------------------------------------------
-# completion
-# ---------------------------------------------------------------------------
-
-def _echelon(vectors: Iterable[dict[Tree, Fraction]],
-             order: TreeOrder) -> dict[Tree, dict[Tree, Fraction]]:
-    """Reduced row echelon form of the given vectors; returns lead -> monic
-    row (tails free of other pivot leads)."""
-    pivots: dict[Tree, dict[Tree, Fraction]] = {}
-    key = order.key
-    for vec in vectors:
-        row = dict(vec)
-        while row:
-            lead = max(row, key=key)
-            piv = pivots.get(lead)
-            if piv is None:
-                lc = row[lead]
-                pivots[lead] = {t: c / lc for t, c in row.items()}
-                break
-            c = row.pop(lead)
-            for t, v in piv.items():
-                if t is lead:
-                    continue
-                s = row.get(t, Fraction(0)) - c * v
-                if s:
-                    row[t] = s
-                else:
-                    row.pop(t, None)
-    # back-substitution, ascending so referenced pivots are already clean
-    for lead in sorted(pivots, key=key):
-        row = pivots[lead]
-        hits = [(t, c) for t, c in row.items() if t is not lead and t in pivots]
-        for t, c in hits:
-            del row[t]
-            for u, v in pivots[t].items():
-                if u is t:
-                    continue
-                s = row.get(u, Fraction(0)) - c * v
-                if s:
-                    row[u] = s
-                else:
-                    row.pop(u, None)
-    return pivots
-
-
-def _stratum_spolys(rules: Sequence[RewriteRule], K: int,
-                    gens: Sequence[GeneratorSymbol], order: TreeOrder):
-    """All S-polynomials at arity exactly K among the given rules.
-
-    One of the two occurrences in a minimal common multiple always sits at
-    the root, so extending each lead to arity K and scanning for the other
-    occurrence is exhaustive.
+    One of the two occurrences always sits at the root, so extending each
+    lead of arity below K and scanning for the other occurrence is
+    exhaustive.  A lead of arity K is never extended; for an interreduced
+    rule set it could only overlap a lead that divides it.
     """
     index: dict[str, list[RewriteRule]] = {}
     for r in sorted(rules, key=lambda r: (r.arity, order.key(r.lead), r.rid)):
@@ -380,7 +291,45 @@ def _stratum_spolys(rules: Sequence[RewriteRule], K: int,
                     if pair_key in seen:
                         continue
                     seen.add(pair_key)
-                    yield _spoly(m, r1, occ1, r2, occ2)
+                    yield m, r1, occ1, r2, occ2
+
+
+def _spoly(m: Tree, r1: RewriteRule, o1: Occurrence, r2: RewriteRule,
+           o2: Occurrence) -> OperadElement:
+    return graft_at(m, o1, r1.tail) - graft_at(m, o2, r2.tail)
+
+
+def _stratum_spolys(rules: Sequence[RewriteRule], K: int,
+                    gens: Sequence[GeneratorSymbol], order: TreeOrder):
+    """All S-polynomials at arity exactly K among the given rules."""
+    for overlap in overlaps(rules, K, gens, order):
+        yield _spoly(*overlap)
+
+
+def _echelon(vectors: Iterable[dict[Tree, Fraction]],
+             order: TreeOrder) -> dict[Tree, dict[Tree, Fraction]]:
+    """Reduced row echelon form of the given vectors; returns lead -> monic
+    tail (the row without its lead term), free of other pivot leads."""
+    pivots: dict[Tree, dict[Tree, Fraction]] = {}
+    key = order.key
+    for vec in vectors:
+        found = reduce_row(dict(vec), pivots, key)
+        if found is not None:
+            lead, tail = found
+            pivots[lead] = tail
+    # back-substitution, ascending so referenced pivots are already clean
+    for lead in sorted(pivots, key=key):
+        row = pivots[lead]
+        hits = [(t, c) for t, c in row.items() if t in pivots]
+        for t, c in hits:
+            del row[t]
+            for u, v in pivots[t].items():
+                s = row.get(u, Fraction(0)) - c * v
+                if s:
+                    row[u] = s
+                else:
+                    row.pop(u, None)
+    return pivots
 
 
 def buchberger(p: Presentation, max_arity: int, order_id: str = "pathlex",
@@ -414,9 +363,8 @@ def buchberger(p: Presentation, max_arity: int, order_id: str = "pathlex",
 
         pivots = _echelon(reduced_vectors(), order)
         for lead in sorted(pivots, key=order.key):
-            row = pivots[lead]
             tail = OperadElement(
-                {t: -c for t, c in row.items() if t is not lead}, lead.arity)
+                {t: -c for t, c in pivots[lead].items()}, lead.arity)
             rules.append(RewriteRule(lead, tail, next_rid))
             next_rid += 1
         if progress is not None:
@@ -428,7 +376,13 @@ def buchberger(p: Presentation, max_arity: int, order_id: str = "pathlex",
 # persistence
 # ---------------------------------------------------------------------------
 
-_MAGIC = "operadgb-basis v1"
+_MAGIC = "operadgb-basis v2"
+_MAGIC_V1 = "operadgb-basis v1"
+
+
+def _checksum(header: list[str], rules: list[str]) -> str:
+    """SHA-256 over the header lines before the checksum and the rules."""
+    return hashlib.sha256("\n".join(header + rules).encode()).hexdigest()
 
 
 def _rules_section(b: GroebnerBasis) -> list[str]:
@@ -442,7 +396,6 @@ def _rules_section(b: GroebnerBasis) -> list[str]:
 def save_basis(b: GroebnerBasis, path: str) -> None:
     rules = _rules_section(b)
     body = "\n".join(rules)
-    checksum = hashlib.sha256(body.encode()).hexdigest()
     header = [
         _MAGIC,
         f"presentation: {b.presentation_name}",
@@ -450,8 +403,8 @@ def save_basis(b: GroebnerBasis, path: str) -> None:
         "generators: " + " ".join(f"{g.name}/{g.arity}" for g in b.generators),
         f"max_arity: {b.max_arity}",
         f"rules: {len(rules)}",
-        f"checksum: {checksum}",
     ]
+    header.append(f"checksum: {_checksum(header, rules)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(header) + "\n" + body + ("\n" if body else ""))
 
@@ -460,6 +413,10 @@ def load_basis(path: str, validate: bool = True) -> GroebnerBasis:
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     lines = text.splitlines()
+    if lines and lines[0] == _MAGIC_V1:
+        raise BasisFormatError(
+            f"{_MAGIC_V1} files are not accepted, because their checksum "
+            f"does not cover the header; re-run `gb` to write {_MAGIC!r}")
     if not lines or lines[0] != _MAGIC:
         raise BasisFormatError(f"not a basis file (expected {_MAGIC!r})")
 
@@ -477,8 +434,7 @@ def load_basis(path: str, validate: bool = True) -> GroebnerBasis:
     body_lines = lines[7:7 + count]
     if len(body_lines) != count:
         raise BasisFormatError("truncated rules section")
-    body = "\n".join(body_lines)
-    if hashlib.sha256(body.encode()).hexdigest() != checksum:
+    if _checksum(lines[:6], body_lines) != checksum:
         raise BasisFormatError("checksum mismatch: file corrupted")
     gens = []
     for chunk in gen_spec.split():

@@ -11,6 +11,7 @@ where enumerate-and-filter over all monomials is not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .groebner import BudgetExceededError, GroebnerBasis, RewriteRule
 from .trees import (
@@ -82,7 +83,7 @@ class NormalMonomials:
                         [relabel_ordered(t, b) for t in self.level(len(b))]
                         for b in blocks
                     ]
-                    for kids in _product(child_choices):
+                    for kids in product(*child_choices):
                         cand = node(g.name, kids)
                         if not self._root_reducible(cand):
                             out.append(cand)
@@ -92,16 +93,6 @@ class NormalMonomials:
 
     def count(self, n: int) -> int:
         return len(self.level(n))
-
-
-def _product(choices):
-    if not choices:
-        yield ()
-        return
-    head, rest = choices[0], choices[1:]
-    for h in head:
-        for tail in _product(rest):
-            yield (h,) + tail
 
 
 def _enumerator(basis: GroebnerBasis) -> NormalMonomials:

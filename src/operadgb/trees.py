@@ -9,15 +9,16 @@ divisibility is given by subtree occurrences and drives the Buchberger
 engine in :mod:`operadgb.groebner`.
 
 Trees are interned: structurally equal trees are the same object, so
-hashing and equality are cheap.  All values here are immutable and safe to
-share between threads.
+hashing and equality are cheap.  All values here are immutable, but the
+interning table and the order-key caches fill lazily and are not
+synchronized, so they are not safe to build from several threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
 class TreeError(ValueError):
@@ -246,9 +247,6 @@ class TreeOrder:
         if k1 > k2:
             return 1
         return 0
-
-    def max_monomial(self, monomials: Iterable[Tree]) -> Tree:
-        return max(monomials, key=self.key)
 
 
 ORDER_IDS = ("pathlex", "revpathlex")
@@ -542,52 +540,3 @@ def extensions(t: Tree, target_arity: int,
                 assert occ is not None
                 out.append((m, occ))
     return out
-
-
-def overlap_pairs(t1: Tree, t2: Tree, target_arity: int,
-                  gens: Sequence[GeneratorSymbol],
-                  require_shared_vertex: bool = True,
-                  ) -> list[tuple[Tree, Occurrence, Occurrence]]:
-    """Minimal common multiples of ``t1`` and ``t2`` at the exact target
-    arity: monomials carrying occurrences of both whose vertex sets jointly
-    cover the whole tree (and, by default, intersect)."""
-    seen: set[tuple[Tree, tuple, tuple]] = set()
-    out: list[tuple[Tree, Occurrence, Occurrence]] = []
-
-    def scan(base: Tree, other: Tree, swap: bool) -> None:
-        for m, root_occ in extensions(base, target_arity, gens):
-            all_vertices = frozenset(iter_positions(m))
-            for occ2 in find_occurrences(other, m):
-                if root_occ.path == occ2.path and base is other:
-                    continue
-                if require_shared_vertex and not (root_occ.vertices & occ2.vertices):
-                    continue
-                if root_occ.vertices | occ2.vertices != all_vertices:
-                    continue
-                o1, o2 = (occ2, root_occ) if swap else (root_occ, occ2)
-                key = (m, o1.path, o2.path)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append((m, o1, o2))
-
-    scan(t1, t2, swap=False)
-    if t1 is not t2:
-        scan(t2, t1, swap=True)
-    return out
-
-
-def common_multiples(t1: Tree, t2: Tree, max_arity: int,
-                     gens: Sequence[GeneratorSymbol]) -> list[Tree]:
-    """Minimal monomials in which both inputs occur with overlapping
-    (vertex-sharing) occurrences, up to the arity bound."""
-    if t1.is_leaf or t2.is_leaf:
-        raise TreeError("common multiples are defined for non-leaf monomials")
-    found: list[Tree] = []
-    seen: set[Tree] = set()
-    for n in range(max(t1.arity, t2.arity), max_arity + 1):
-        for m, _o1, _o2 in overlap_pairs(t1, t2, n, gens):
-            if m not in seen:
-                seen.add(m)
-                found.append(m)
-    return found

@@ -176,7 +176,7 @@ def test_criterion_5_critical_pair_rederivation(gd4, wsgd5, gd5):
     span_res = orbit_pivots(nonzero, gd4)
     span_both = orbit_pivots(nonzero + [spec1, spec2], gd4)
     assert len(span_specs) == len(span_res) == len(span_both) == 10
-    assert len(independent_identities(residues, BUILTINS["gd"], 4)) == 2
+    assert len(independent_identities(residues, gd4)) == 2
     # degree 5: everything is a consequence of the degree-4 identities
     ctx5 = RewriteContext(gd5)
     ambs5 = ctx5.enumerate_ambiguities(5)

@@ -14,13 +14,10 @@ from operadgb.diffpoisson import (
     family_signature,
     format_monomial,
     independent_identities,
-    lie_rewrite_rules,
-    ls_basis,
     measure,
     monomial_degree,
     monomial_weight,
     orbit_pivots,
-    poisson_rewrite_rules,
 )
 from operadgb.groebner import buchberger, reduce_element
 from operadgb.presentation import (
@@ -80,11 +77,21 @@ def test_weight_rules(ctx):
 
 # -- rules -------------------------------------------------------------------
 
+def lie_principal(ctx, a, b, n):
+    """The monomial {a, b^(n)} rewritten by the L-rule (a > b)."""
+    _s, chain = ctx.make_chain((Letter(a, 0), Letter(b, n)))
+    return ctx.make_monomial([chain])
+
+
+def poisson_replacement(ctx, pm):
+    """One step of the first P-rule application on pm."""
+    apps = [x for x in ctx.applications(pm) if x[0] != "L"]
+    return ctx.apply(pm, apps[0])
+
+
 def test_lie_rule_table_case(ctx):
     a, b = ctx.var_base(2), ctx.var_base(1)
-    rules = lie_rewrite_rules(ctx, [a, b], 1)
-    r0 = [r for r in rules if r.n == 0][0]
-    repl = r0.replacement(ctx)
+    repl = ctx.apply(lie_principal(ctx, a, b, 0), ("L", 0))
     # {a,b} -> [a,b]: a single underived letter of degree 2
     assert len(repl) == 1
     (pm, c), = repl.items()
@@ -95,8 +102,7 @@ def test_lie_rule_table_case(ctx):
 def test_lie_rule_first_derivative(ctx):
     # {b,c'} -> [b,c]' + {c,b'}   (i.e. -{b',c})
     b, c = ctx.var_base(2), ctx.var_base(1)
-    rule = [r for r in lie_rewrite_rules(ctx, [b, c], 1) if r.n == 1][0]
-    repl = rule.replacement(ctx)
+    repl = ctx.apply(lie_principal(ctx, b, c, 1), ("L", 0))
     bracket_letter = [pm for pm in repl if pm[0][0].order == 1 and len(pm[0]) == 1]
     swapped = [pm for pm in repl if len(pm[0]) == 2]
     assert len(bracket_letter) == 1 and len(swapped) == 1
@@ -108,9 +114,8 @@ def test_lie_rule_first_derivative(ctx):
 def test_poisson_rule_product_case(ctx):
     # a b' -> a o b
     a, b = ctx.var_base(1), ctx.var_base(2)
-    rule = [r for r in poisson_rewrite_rules(ctx, [a, b], 2)
-            if r.alpha is a and not r.interior and r.n == 1][0]
-    repl = rule.replacement(ctx)
+    repl = poisson_replacement(
+        ctx, ctx.make_monomial([(Letter(a, 0),), (Letter(b, 1),)]))
     circ = ctx.circ_pair(a, b)
     want = {ctx.make_monomial([(Letter(beta, 0),)]): c for beta, c in circ.items()}
     assert repl == want
@@ -119,11 +124,9 @@ def test_poisson_rule_product_case(ctx):
 def test_poisson_rule_cooked_matches_known_form(ctx, gd4):
     # a{b,c'} -> [a,b] o c + [b, a o c]   for b > c
     a, b, c = 1, 3, 2
-    rule = [r for r in poisson_rewrite_rules(
-        ctx, [ctx.var_base(a), ctx.var_base(b), ctx.var_base(c)], 2)
-        if r.alpha.vars == (a,) and r.interior
-        and r.interior[0].base.vars == (b,) and r.beta.vars == (c,)][0]
-    cooked = ctx.to_operad(rule.cooked(ctx), 3)
+    _s, chain = ctx.make_chain((ctx.var_letter(b), ctx.var_letter(c, 1)))
+    pm = ctx.make_monomial([(ctx.var_letter(a),), chain])
+    cooked = ctx.to_operad(ctx.normal_form(poisson_replacement(ctx, pm)), 3)
     from operadgb.presentation import C, B as Br
     want_sym = [(1, C(Br(a, b), c)), (1, Br(b, C(a, c)))]
     want = sum((convert_instance(
@@ -146,11 +149,9 @@ def _zero3():
 def test_poisson_rule_cooked_other_orientation(ctx, gd4):
     # a{c,b'} -> [a,c] o b + [c, a o b]   for c > b
     a, c, b = 1, 3, 2
-    rule = [r for r in poisson_rewrite_rules(
-        ctx, [ctx.var_base(a), ctx.var_base(b), ctx.var_base(c)], 2)
-        if r.alpha.vars == (a,) and r.interior
-        and r.interior[0].base.vars == (c,) and r.beta.vars == (b,)][0]
-    cooked = ctx.to_operad(rule.cooked(ctx), 3)
+    _s, chain = ctx.make_chain((ctx.var_letter(c), ctx.var_letter(b, 1)))
+    pm = ctx.make_monomial([(ctx.var_letter(a),), chain])
+    cooked = ctx.to_operad(ctx.normal_form(poisson_replacement(ctx, pm)), 3)
     from operadgb.presentation import C, B as Br
     want = (convert_instance(_rel("w", 3, [C(Br(a, c), b)]), {1: 1, 2: 2, 3: 3},
                              GD_ACTION)
@@ -239,7 +240,7 @@ def test_degree4_residue_space_has_rank_two(ctx, gd4):
     assert len(orbit_pivots([spec1, spec2], gd4)) == 10
     both = orbit_pivots(nonzero + [spec1, spec2], gd4)
     assert len(both) == 10  # same space
-    found = independent_identities(residues, BUILTINS["gd"], 4)
+    found = independent_identities(residues, gd4)
     assert len(found) == 2
 
 
@@ -404,33 +405,6 @@ def test_termination_measure_decreases(ctx):
                 before = measure(pm)
                 for pm2 in ctx.apply(pm, app):
                     assert measure(pm2) < before
-
-
-# -- Lyndon-Shirshov basis words ----------------------------------------------
-
-def test_ls_basis_degree_one():
-    words = ls_basis(["b", "a"], 1, weight=0)
-    assert [str(w) for w in words] == ["b'", "a'"]
-    words0 = ls_basis(["b", "a"], 1, weight=-1)
-    assert [str(w) for w in words0] == ["b", "a"]
-
-
-def test_ls_basis_degree_two_weight_zero():
-    # letters a > b; {a,b'} is not reduced, the b..a' word is
-    words = ls_basis(["b", "a"], 2, weight=0)
-    assert [tuple((l.base, l.order) for l in w.letters) for w in words] == \
-        [(("b", 0), ("a", 1))]
-    w = words[0]
-    assert w.bracketing() == (w.letters[0], w.letters[1])
-
-
-def test_ls_basis_avoids_reducible_subwords():
-    words = ls_basis(["c", "b", "a"], 3, weight=0)
-    assert words
-    for w in words:
-        for i in range(len(w.letters) - 1):
-            u, v = w.letters[i], w.letters[i + 1]
-            assert not (u.order == 0 and u.base_rank > v.base_rank)
 
 
 def test_ambiguity_display(ctx):

@@ -6,8 +6,8 @@ import pytest
 from operadgb.elements import (
     ElementError,
     OperadElement,
-    add,
     graft_at,
+    reduce_row,
     shuffle_compose,
 )
 from operadgb.trees import (
@@ -35,11 +35,11 @@ def mono(tree, c=1):
 def test_add_basics():
     f = mono(t("x", 1, 2))
     zero = OperadElement.zero(2)
-    assert add(f, zero) == f
-    assert add(f, f.scale(-1)).is_zero()
-    assert add(f, f) == f.scale(2)
+    assert f + zero == f
+    assert (f + f.scale(-1)).is_zero()
+    assert f + f == f.scale(2)
     with pytest.raises(ElementError):
-        add(f, mono(t("z", t("z", 1, 2), 3)))
+        f + mono(t("z", t("z", 1, 2), 3))
 
 
 def test_canonicalization_drops_zeros():
@@ -104,9 +104,9 @@ def test_compose_bilinearity_sampled():
         g = mono(rng.choice(mons2), rng.choice((1, 2, -1)))
         h = mono(rng.choice(mons2))
         pi = rng.choice(partitions)
-        left = shuffle_compose(add(f1, f2), pi, [g, h])
-        right = add(shuffle_compose(f1, pi, [g, h]),
-                    shuffle_compose(f2, pi, [g, h]))
+        left = shuffle_compose(f1 + f2, pi, [g, h])
+        right = (shuffle_compose(f1, pi, [g, h])
+                 + shuffle_compose(f2, pi, [g, h]))
         assert left == right
         assert shuffle_compose(f1, pi, [g + g, h]) == \
             shuffle_compose(f1, pi, [g, h]).scale(2)
@@ -134,3 +134,25 @@ def test_graft_matches_compose():
     direct = shuffle_compose(repl2, ShufflePartition(((1, 2), (3,))),
                              [mono(t("z", 1, 2)), mono(leaf(1))])
     assert graft_at(host, occ, repl2) == direct
+
+
+def test_reduce_row_compares_monomials_by_equality():
+    """Commutative monomials are plain tuples: rows built separately hold
+    equal but distinct key objects, which the kernel must treat as one."""
+    from operadgb.commutative import mono_key
+
+    def fresh(*pairs):
+        return tuple([tuple(p) for p in pairs])
+
+    pivots = {}
+    lead, tail = reduce_row({fresh(("a", 2)): Fraction(2),
+                             fresh(("a", 1)): Fraction(1)}, pivots, mono_key)
+    assert lead == fresh(("a", 2)) and tail == {fresh(("a", 1)): Fraction(1, 2)}
+    pivots[lead] = tail
+    row = {fresh(("a", 2)): Fraction(4), fresh(("a", 1)): Fraction(2)}
+    assert all(k is not lead for k in row)
+    assert reduce_row(row, pivots, mono_key) is None
+    lead2, tail2 = reduce_row({fresh(("a", 2)): Fraction(1),
+                               fresh(("b", 1)): Fraction(3)}, pivots, mono_key)
+    assert lead2 == fresh(("b", 1))
+    assert tail2 == {fresh(("a", 1)): Fraction(-1, 6)}

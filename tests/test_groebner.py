@@ -6,11 +6,15 @@ from operadgb.elements import OperadElement
 from operadgb.groebner import (
     BasisFormatError,
     BudgetExceededError,
+    _Reducer,
+    _echelon,
+    _spoly,
+    _stratum_spolys,
     buchberger,
     load_basis,
+    overlaps,
     reduce_element,
     reduce_random,
-    s_polynomials,
     save_basis,
     validate_interreduced,
 )
@@ -38,6 +42,19 @@ def gd5():
     return buchberger(BUILTINS["gd"], 5)
 
 
+def s_polynomials(r1, r2, max_arity, basis):
+    """S-polynomials of one pair of rules up to ``max_arity``, from the
+    completion's overlap enumerator run on just these rules."""
+    rules = [r1] if r1 is r2 else [r1, r2]
+    out = []
+    for K in range(max(r1.arity, r2.arity), max_arity + 1):
+        for m, a, o1, b, o2 in overlaps(rules, K, basis.generators,
+                                        basis.order):
+            if {a.rid, b.rid} == {r1.rid, r2.rid}:
+                out.append(_spoly(m, a, o1, b, o2))
+    return out
+
+
 def test_lie_is_complete_with_jacobi_alone(lie6):
     assert lie6.rule_counts() == {3: 1}
     assert [count_normal_monomials(lie6, n) for n in range(1, 7)] == \
@@ -46,7 +63,7 @@ def test_lie_is_complete_with_jacobi_alone(lie6):
 
 def test_lie_jacobi_self_spolys_reduce_to_zero(lie6):
     rule = lie6.rules[0]
-    spolys = s_polynomials(rule, rule, 4, lie6.generators)
+    spolys = s_polynomials(rule, rule, 4, lie6)
     assert spolys  # the classical overlaps exist
     for s in spolys:
         assert reduce_element(s, lie6).is_zero()
@@ -54,8 +71,8 @@ def test_lie_jacobi_self_spolys_reduce_to_zero(lie6):
 
 def test_spoly_count_symmetric(gd4):
     r1, r2 = gd4.rules[0], gd4.rules[6]
-    a = s_polynomials(r1, r2, 4, gd4.generators)
-    b = s_polynomials(r2, r1, 4, gd4.generators)
+    a = s_polynomials(r1, r2, 4, gd4)
+    b = s_polynomials(r2, r1, 4, gd4)
     assert len(a) == len(b)
 
 
@@ -185,6 +202,28 @@ def test_load_rejects_tampered_file(tmp_path, gd4):
         load_basis(str(path))
 
 
+def test_load_rejects_edited_header(tmp_path):
+    # a basis completed to arity 4 must not load claiming arity 5
+    ws4 = buchberger(BUILTINS["wsgd"], 4)
+    path = tmp_path / "wsgd4.basis"
+    save_basis(ws4, str(path))
+    text = path.read_text()
+    assert "max_arity: 4\n" in text
+    path.write_text(text.replace("max_arity: 4\n", "max_arity: 5\n"))
+    with pytest.raises(BasisFormatError, match="checksum"):
+        load_basis(str(path))
+
+
+def test_load_rejects_v1_file(tmp_path, gd4):
+    path = tmp_path / "gd4.basis"
+    save_basis(gd4, str(path))
+    lines = path.read_text().splitlines()
+    lines[0] = "operadgb-basis v1"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(BasisFormatError, match="re-run `gb`"):
+        load_basis(str(path))
+
+
 def test_load_rejects_wrong_magic(tmp_path):
     path = tmp_path / "junk.basis"
     path.write_text("not a basis\n")
@@ -195,7 +234,7 @@ def test_load_rejects_wrong_magic(tmp_path):
 def test_spolys_empty_without_overlap(gd4):
     # no common multiple fits below the leads' own arity
     r = gd4.rules[0]
-    assert s_polynomials(r, r, r.arity, gd4.generators) == []
+    assert s_polynomials(r, r, r.arity, gd4) == []
 
 
 def test_wsgd_equals_gd_up_to_arity3():
@@ -203,3 +242,21 @@ def test_wsgd_equals_gd_up_to_arity3():
     ws = buchberger(BUILTINS["wsgd"], 4)
     for n in (1, 2, 3):
         assert count_normal_monomials(ws, n) == count_normal_monomials(gd, n)
+
+
+def test_echelon_independent_of_input_order(gd4):
+    """The arity-4 stratum of GD: permuting the reduced S-polynomial vectors
+    gives the same reduced echelon form, whose leads are the basis' rules."""
+    order = gd4.order
+    rules3 = [r for r in gd4.rules if r.arity == 3]
+    reducer = _Reducer(rules3, order)
+    vectors = [reducer.nf_terms(s.terms)
+               for s in _stratum_spolys(rules3, 4, gd4.generators, order)]
+    vectors = [v for v in vectors if v]
+    pivots = _echelon(vectors, order)
+    assert set(pivots) == {r.lead for r in gd4.rules if r.arity == 4}
+    rng = random.Random(3)
+    for _ in range(3):
+        shuffled = vectors[:]
+        rng.shuffle(shuffled)
+        assert _echelon(shuffled, order) == pivots

@@ -3,12 +3,13 @@ from itertools import combinations
 
 import pytest
 
+from operadgb.elements import OperadElement
+from operadgb.groebner import RewriteRule, overlaps
 from operadgb.trees import (
     GeneratorSymbol,
     TreeError,
     all_trees,
     arity,
-    common_multiples,
     extensions,
     find_occurrences,
     is_complete,
@@ -130,6 +131,20 @@ def test_substitute_and_relabel():
 def test_is_complete():
     assert is_complete(t("z", t("z", 1, 2), 3))
     assert not is_complete(t("z", 1, 3))
+
+
+def common_multiples(t1, t2, max_arity, gens):
+    """Distinct minimal common multiples of two leads up to ``max_arity``,
+    from the completion's overlap enumerator run on two zero-tail rules."""
+    r1 = RewriteRule(t1, OperadElement.zero(t1.arity), 0)
+    r2 = r1 if t2 is t1 else RewriteRule(t2, OperadElement.zero(t2.arity), 1)
+    rules = [r1] if r2 is r1 else [r1, r2]
+    found = []
+    for n in range(max(t1.arity, t2.arity), max_arity + 1):
+        for m, a, _o1, b, _o2 in overlaps(rules, n, gens, ORDER):
+            if {a.rid, b.rid} == {r1.rid, r2.rid} and m not in found:
+                found.append(m)
+    return found
 
 
 def brute_common_multiples(t1, t2, max_arity):
