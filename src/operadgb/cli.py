@@ -182,8 +182,7 @@ def cmd_ambiguities(cfg: RunConfig, out=None) -> int:
     nonzero = 0
     residues = []
     for amb in ambs:
-        traces = ([], []) if cfg.emit_trace else None
-        res = ctx.residue(amb, modulo=modulo_basis, traces=traces)
+        res = ctx.residue(amb, modulo=modulo_basis)
         if cfg.modulo == "gd":
             residues.append(res)
         fam = f" [{classify_degree4(amb.monomial)}]" if n == 4 else ""
@@ -191,13 +190,10 @@ def cmd_ambiguities(cfg: RunConfig, out=None) -> int:
               f"{describe_app(amb.monomial, amb.app1)} vs "
               f"{describe_app(amb.monomial, amb.app2)}", file=out)
         if cfg.emit_trace:
-            for route, steps in zip(("route-1", "route-2"), traces):
+            for route, app in (("route-1", amb.app1), ("route-2", amb.app2)):
                 print(f"  {route}:", file=out)
-                for rid, before, after in steps:
-                    after_str = " + ".join(
-                        f"{c}*{format_monomial(pm)}" for pm, c in after.items())
-                    print(f"    {rid}: {format_monomial(before)} -> "
-                          f"{after_str}", file=out)
+                for line in ctx.trace(ctx.apply(amb.monomial, app)):
+                    print(f"    {line}", file=out)
         if res.is_zero():
             print("  residue: 0", file=out)
         else:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .elements import axpy, memo_normal_form
+
 Mono = tuple  # tuple[(var, exp), ...] sorted by var, exps > 0
 
 ONE: Mono = ()
@@ -98,14 +100,7 @@ class Poly:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "Poly") -> "Poly":
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            s = acc.get(m, Fraction(0)) + c
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
-        return Poly(acc)
+        return Poly(axpy(dict(self.terms), other.terms))
 
     def __neg__(self) -> "Poly":
         return Poly({m: -c for m, c in self.terms.items()})
@@ -116,13 +111,9 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         acc: dict[Mono, Fraction] = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = acc.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
+            # m1 * m2 is injective in m2, so each row is one sparse add
+            axpy(acc, {mono_mul(m1, m2): c2 for m2, c2 in other.terms.items()},
+                 c1)
         return Poly(acc)
 
     def scale(self, c) -> "Poly":
@@ -170,29 +161,23 @@ ZERO = Poly()
 
 
 def reduce_poly(f: Poly, basis: Sequence[Poly]) -> Poly:
-    """Full remainder of f modulo the (assumed Groebner) basis."""
-    work = dict(f.terms)
-    out: dict[Mono, Fraction] = {}
+    """Full remainder of f modulo the (assumed Groebner) basis: each
+    monomial is rewritten by the first lead, in basis order, dividing it."""
     leads = [(g.lm(), g.lc(), g) for g in basis if g]
-    while work:
-        m = max(work, key=mono_key)
-        c = work[m]
+
+    def step(m: Mono) -> dict[Mono, Fraction] | None:
         for lm_g, lc_g, g in leads:
             if mono_divides(lm_g, m):
                 q = mono_div(m, lm_g)
-                factor = c / lc_g
-                for mg, cg in g.terms.items():
-                    key = mono_mul(mg, q)
-                    s = work.get(key, Fraction(0)) - factor * cg
-                    if s:
-                        work[key] = s
-                    else:
-                        work.pop(key, None)
-                assert m not in work  # the lead cancels exactly
-                break
-        else:
-            out[m] = work.pop(m)
-    return Poly(out)
+                return {mono_mul(mg, q): -cg / lc_g
+                        for mg, cg in g.terms.items() if mg != lm_g}
+        return None
+
+    memo: dict[Mono, dict[Mono, Fraction]] = {}
+    acc: dict[Mono, Fraction] = {}
+    for m, c in f.terms.items():
+        axpy(acc, memo_normal_form(m, step, memo), c)
+    return Poly(acc)
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:

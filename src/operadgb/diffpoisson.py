@@ -22,8 +22,11 @@ act on a product of chains:
 
 Every rewrite strictly decreases the measure (bracket count, multiset of
 derivative orders, free underived letters, L-reducible brackets), which is
-asserted on each step, so normal forms always exist and land in the span
-of the basis letters for weight-(-1) inputs.
+asserted on every rewrite step, so normal forms always exist and land in
+the span of the basis letters for weight-(-1) inputs.  A monomial is
+rewritten by its first application only, so normal forms are linear and
+each context memoizes them per monomial: a monomial is rewritten, and its
+step asserted, once per context.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from itertools import combinations, permutations, product
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
-from .elements import OperadElement, reduce_row
+from .elements import OperadElement, axpy, memo_normal_form, reduce_row
 from .groebner import GroebnerBasis, reduce_element
 from .presentation import permute_element
 from .trees import Tree, leaf, node, relabel_ordered
@@ -131,6 +134,9 @@ class RewriteContext:
         self._bases: dict[tuple[Tree, tuple[int, ...]], BasisElem] = {}
         self._circ: dict = {}
         self._bracket: dict = {}
+        # normal form per monomial; valid for the context's lifetime, since
+        # the context is bound to one basis
+        self._nf_memo: dict[PMonomial, dict[PMonomial, Fraction]] = {}
 
     # -- letters -----------------------------------------------------------
 
@@ -370,38 +376,40 @@ class RewriteContext:
 
     # -- normal forms --------------------------------------------------------
 
-    def normal_form(self, poly: dict[PMonomial, Fraction],
-                    trace: list | None = None) -> dict[PMonomial, Fraction]:
-        """Deterministic normal form: rewrite the largest reducible monomial
-        with its first applicable rule until nothing applies."""
-        work = dict(poly)
-        out: dict[PMonomial, Fraction] = {}
-        while work:
-            pm = max(work, key=self.pm_key)
-            c = work.pop(pm)
-            apps = self.applications(pm)
-            if not apps:
-                s = out.get(pm, Fraction(0)) + c
-                if s:
-                    out[pm] = s
-                else:
-                    out.pop(pm, None)
-                continue
-            app = apps[0]
-            repl = self.apply(pm, app)
-            if trace is not None:
-                trace.append((describe_app(pm, app), pm, dict(repl)))
-            for pm2, c2 in repl.items():
-                s = work.get(pm2, Fraction(0)) + c * c2
-                if s:
-                    work[pm2] = s
-                else:
-                    work.pop(pm2, None)
-        return out
+    def step(self, pm: PMonomial) -> dict[PMonomial, Fraction] | None:
+        """The strategy's one rewrite of ``pm``: its first application,
+        or None when ``pm`` is normal."""
+        apps = self.applications(pm)
+        return self.apply(pm, apps[0]) if apps else None
 
-    def normal_form_of(self, pm: PMonomial,
-                       trace: list | None = None) -> dict[PMonomial, Fraction]:
-        return self.normal_form({pm: Fraction(1)}, trace)
+    def normal_form(self, poly: dict[PMonomial, Fraction]) -> dict[PMonomial, Fraction]:
+        """Deterministic normal form: every monomial is rewritten by
+        ``step`` until nothing applies, memoized per monomial."""
+        acc: dict[PMonomial, Fraction] = {}
+        for pm, c in poly.items():
+            axpy(acc, memo_normal_form(pm, self.step, self._nf_memo), c)
+        return acc
+
+    def trace(self, poly: dict[PMonomial, Fraction]) -> list[str]:
+        """The steps the normal form of ``poly`` needs: one line per
+        reducible monomial reachable from ``poly`` by ``step``, in
+        descending ``pm_key`` order.  Independent of the memo."""
+        steps: dict[PMonomial, dict | None] = {}
+        todo = list(poly)
+        while todo:
+            pm = todo.pop()
+            if pm not in steps:
+                steps[pm] = repl = self.step(pm)
+                todo.extend(repl or ())
+        lines = []
+        for pm in sorted(steps, key=self.pm_key, reverse=True):
+            repl = steps[pm]
+            if repl is not None:
+                after = " + ".join(f"{c}*{format_monomial(pm2)}"
+                                   for pm2, c in repl.items())
+                lines.append(f"{describe_app(pm, self.applications(pm)[0])}: "
+                             f"{format_monomial(pm)} -> {after}")
+        return lines
 
     def to_operad(self, nf: dict[PMonomial, Fraction], nvars: int) -> OperadElement:
         """Interpret a bracket-free, derivative-free normal form as an
@@ -470,16 +478,13 @@ class RewriteContext:
         return ambs
 
     def residue(self, amb: Ambiguity,
-                modulo: GroebnerBasis | None = None,
-                traces: tuple[list, list] | None = None) -> OperadElement:
+                modulo: GroebnerBasis | None = None) -> OperadElement:
         """Difference of the two normal forms of the ambiguity, as a GD
         expression (already reduced modulo the context's relations); when
         ``modulo`` is given the result is further reduced by that basis."""
         n = amb.degree
-        t1 = traces[0] if traces else None
-        t2 = traces[1] if traces else None
-        route1 = self.normal_form(self.apply(amb.monomial, amb.app1), t1)
-        route2 = self.normal_form(self.apply(amb.monomial, amb.app2), t2)
+        route1 = self.normal_form(self.apply(amb.monomial, amb.app1))
+        route2 = self.normal_form(self.apply(amb.monomial, amb.app2))
         res = self.to_operad(route1, n) - self.to_operad(route2, n)
         if modulo is not None:
             res = reduce_element(res, modulo)

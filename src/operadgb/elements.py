@@ -27,9 +27,6 @@ class ElementError(ValueError):
     """Ill-typed operad element arithmetic (arity or shape mismatch)."""
 
 
-Coeff = Fraction
-
-
 class OperadElement:
     """A formal rational combination of equal-arity shuffle tree monomials."""
 
@@ -111,14 +108,7 @@ class OperadElement:
         if self.arity != other.arity:
             raise ElementError(
                 f"arity mismatch in addition: {self.arity} vs {other.arity}")
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            s = out.get(t, Fraction(0)) + c
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
-        return OperadElement(out, self.arity)
+        return OperadElement(axpy(dict(self.terms), other.terms), self.arity)
 
     def __neg__(self) -> "OperadElement":
         return OperadElement({t: -c for t, c in self.terms.items()}, self.arity)
@@ -223,8 +213,69 @@ def graft_at(host: Tree, occ: Occurrence, replacement: OperadElement) -> OperadE
 
 
 # ---------------------------------------------------------------------------
-# exact elimination
+# sparse accumulation, normal forms and exact elimination
 # ---------------------------------------------------------------------------
+
+def axpy(acc: dict[Hashable, Fraction], terms: Mapping[Hashable, Fraction],
+         c: Fraction | int | None = None) -> dict[Hashable, Fraction]:
+    """``acc += c * terms`` (``acc += terms`` without ``c``) in place,
+    dropping coefficients that cancel; returns ``acc``."""
+    for t, v in terms.items():
+        s = acc.get(t, Fraction(0)) + (v if c is None else c * v)
+        if s:
+            acc[t] = s
+        else:
+            acc.pop(t, None)
+    return acc
+
+
+def memo_normal_form(m: Hashable,
+                     step: Callable[[Hashable], Mapping[Hashable, Fraction] | None],
+                     memo: dict[Hashable, dict[Hashable, Fraction]],
+                     ) -> dict[Hashable, Fraction]:
+    """Normal form of the monomial ``m`` under a terminating rewriting.
+
+    ``step(m)`` is the strategy's one rewrite of ``m`` as ``{monomial:
+    coeff}``, or ``None`` when ``m`` is normal.  Because the strategy fixes
+    one step per monomial, the normal form is linear and is memoized per
+    monomial in ``memo``; the work runs on an explicit stack, so deep
+    rewrite chains need no recursion.  The returned dict belongs to the
+    memo and must not be mutated.
+    """
+    cached = memo.get(m)
+    if cached is not None:
+        return cached
+    pending: dict[Hashable, Mapping[Hashable, Fraction]] = {}
+    stack = [m]
+    while stack:
+        cur = stack[-1]
+        if cur in memo:
+            stack.pop()
+            continue
+        rewritten = pending.get(cur)
+        if rewritten is None:
+            rewritten = step(cur)
+            if rewritten is None:
+                memo[cur] = {cur: Fraction(1)}
+                stack.pop()
+                continue
+            pending[cur] = rewritten
+        missing = [t for t in rewritten if t not in memo]
+        if missing:
+            # pending monomials are the ancestors of cur: meeting one again
+            # is a cycle, which would grow the stack forever
+            if any(t in pending for t in missing):
+                raise ValueError(f"rewriting does not terminate at {cur!r}")
+            stack.extend(missing)
+            continue
+        acc: dict[Hashable, Fraction] = {}
+        for t, c in rewritten.items():
+            axpy(acc, memo[t], c)
+        memo[cur] = acc
+        del pending[cur]
+        stack.pop()
+    return memo[m]
+
 
 def reduce_row(row: dict[Hashable, Fraction],
                pivots: Mapping[Hashable, dict[Hashable, Fraction]],
@@ -246,10 +297,5 @@ def reduce_row(row: dict[Hashable, Fraction],
         tail = pivots.get(lead)
         if tail is None:
             return lead, {t: v / c for t, v in row.items()}
-        for t, v in tail.items():
-            s = row.get(t, Fraction(0)) - c * v
-            if s:
-                row[t] = s
-            else:
-                row.pop(t, None)
+        axpy(row, tail, -c)
     return None

@@ -10,9 +10,11 @@ two distinct equal-arity leading monomials never divide one another (an
 equal-arity divisor is the whole tree), so all interaction inside a stratum
 is plain linear algebra.
 
-Reduction is deterministic (greatest reducible monomial first, divisor
-found at the first pre-order position, rules tried in a fixed order).  The
-reducer fills its memos lazily, so it is not safe to share between threads.
+Reduction is deterministic: a monomial's one rewrite step uses the divisor
+at its first pre-order position, rules tried in a fixed order, so normal
+forms are linear and are memoized per monomial by
+:func:`~operadgb.elements.memo_normal_form`.  The reducer fills its memos
+lazily, so it is not safe to share between threads.
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ import hashlib
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .elements import OperadElement, graft_at, reduce_row
+from .elements import (
+    OperadElement,
+    axpy,
+    graft_at,
+    memo_normal_form,
+    reduce_row,
+)
 from .presentation import Presentation
 from .syntax import format_element, parse_element, parse_monomial
 from .trees import (
@@ -31,7 +39,6 @@ from .trees import (
     TreeError,
     TreeOrder,
     extensions,
-    find_occurrences,
     iter_positions,
     occurrence_at,
     order_for,
@@ -89,92 +96,42 @@ class _Reducer:
         self._memo: dict[Tree, dict[Tree, Fraction]] = {}
         self._div_memo: dict[Tree, tuple[RewriteRule, Occurrence] | None] = {}
 
+    def occurrences(self, m: Tree):
+        """Every ``(rule, occurrence)`` of a lead in ``m``, by pre-order
+        position and then rule order."""
+        for path in iter_positions(m):
+            yield from self.occurrences_at(m, path)
+
+    def occurrences_at(self, m: Tree, path: tuple[int, ...]):
+        """The ``(rule, occurrence)`` pairs anchored at ``path``, in rule
+        order."""
+        sub = subtree_at(m, path)
+        for rule in self._index.get(sub.gen, ()):
+            if rule.arity > sub.arity:
+                break  # bucket sorted by arity
+            occ = occurrence_at(rule.lead, m, path)
+            if occ is not None:
+                yield rule, occ
+
     def find_divisor(self, m: Tree) -> tuple[RewriteRule, Occurrence] | None:
-        """First (pre-order position, rule order) divisor occurrence."""
+        """The first of ``occurrences(m)``: the divisor the strategy uses."""
         try:
             return self._div_memo[m]
         except KeyError:
-            pass
-        found = None
-        for path in iter_positions(m):
-            sub = subtree_at(m, path)
-            bucket = self._index.get(sub.gen)
-            if not bucket:
-                continue
-            sub_arity = sub.arity
-            for rule in bucket:
-                if rule.arity > sub_arity:
-                    break  # bucket sorted by arity
-                occ = occurrence_at(rule.lead, m, path)
-                if occ is not None:
-                    found = (rule, occ)
-                    break
-            if found:
-                break
-        self._div_memo[m] = found
-        return found
+            found = self._div_memo[m] = next(self.occurrences(m), None)
+            return found
 
-    def all_applications(self, m: Tree) -> list[tuple[RewriteRule, Occurrence]]:
-        """Every (rule, occurrence) pair applicable to the monomial."""
-        out = []
-        for path in iter_positions(m):
-            sub = subtree_at(m, path)
-            for rule in self._index.get(sub.gen, ()):
-                if rule.arity > sub.arity:
-                    break
-                occ = occurrence_at(rule.lead, m, path)
-                if occ is not None:
-                    out.append((rule, occ))
-        return out
-
-    def nf_monomial(self, m: Tree) -> dict[Tree, Fraction]:
-        memo = self._memo
-        cached = memo.get(m)
-        if cached is not None:
-            return cached
-        pending: dict[Tree, OperadElement] = {}
-        stack = [m]
-        while stack:
-            cur = stack[-1]
-            if cur in memo:
-                stack.pop()
-                continue
-            rewritten = pending.get(cur)
-            if rewritten is None:
-                div = self.find_divisor(cur)
-                if div is None:
-                    memo[cur] = {cur: Fraction(1)}
-                    stack.pop()
-                    continue
-                rule, occ = div
-                rewritten = graft_at(cur, occ, rule.tail)
-                pending[cur] = rewritten
-            missing = [t for t in rewritten.terms if t not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            acc: dict[Tree, Fraction] = {}
-            for t, c in rewritten.terms.items():
-                for nt, nc in memo[t].items():
-                    s = acc.get(nt, Fraction(0)) + c * nc
-                    if s:
-                        acc[nt] = s
-                    else:
-                        acc.pop(nt, None)
-            memo[cur] = acc
-            del pending[cur]
-            stack.pop()
-        return memo[m]
+    def _step(self, m: Tree) -> dict[Tree, Fraction] | None:
+        div = self.find_divisor(m)
+        if div is None:
+            return None
+        rule, occ = div
+        return graft_at(m, occ, rule.tail).terms
 
     def nf_terms(self, terms: dict[Tree, Fraction]) -> dict[Tree, Fraction]:
         acc: dict[Tree, Fraction] = {}
         for t, c in terms.items():
-            for nt, nc in self.nf_monomial(t).items():
-                s = acc.get(nt, Fraction(0)) + c * nc
-                if s:
-                    acc[nt] = s
-                else:
-                    acc.pop(nt, None)
+            axpy(acc, memo_normal_form(t, self._step, self._memo), c)
         return acc
 
     def nf_element(self, f: OperadElement) -> OperadElement:
@@ -237,15 +194,9 @@ def reduce_random(f: OperadElement, basis: GroebnerBasis, rng) -> OperadElement:
         if not reducible:
             return OperadElement(terms, f.arity)
         m = reducible[rng.randrange(len(reducible))]
-        apps = reducer.all_applications(m)
+        apps = list(reducer.occurrences(m))
         rule, occ = apps[rng.randrange(len(apps))]
-        c = terms.pop(m)
-        for t, v in graft_at(m, occ, rule.tail).terms.items():
-            s = terms.get(t, Fraction(0)) + c * v
-            if s:
-                terms[t] = s
-            else:
-                terms.pop(t, None)
+        axpy(terms, graft_at(m, occ, rule.tail).terms, terms.pop(m))
 
 
 # ---------------------------------------------------------------------------
@@ -263,35 +214,26 @@ def overlaps(rules: Sequence[RewriteRule], K: int,
     exhaustive.  A lead of arity K is never extended; for an interreduced
     rule set it could only overlap a lead that divides it.
     """
-    index: dict[str, list[RewriteRule]] = {}
-    for r in sorted(rules, key=lambda r: (r.arity, order.key(r.lead), r.rid)):
-        index.setdefault(r.lead.gen, []).append(r)
+    reducer = _Reducer(rules, order)
     seen: set = set()
     for r1 in rules:
         if r1.arity >= K:
             continue
         for m, occ1 in extensions(r1.lead, K, gens):
             allv = frozenset(iter_positions(m))
-            for path in iter_positions(m):
-                sub = subtree_at(m, path)
-                for r2 in index.get(sub.gen, ()):
-                    if r2.arity > sub.arity:
-                        break
-                    occ2 = occurrence_at(r2.lead, m, path)
-                    if occ2 is None:
-                        continue
-                    if r2 is r1 and occ2.path == occ1.path:
-                        continue
-                    if not (occ1.vertices & occ2.vertices):
-                        continue
-                    if (occ1.vertices | occ2.vertices) != allv:
-                        continue
-                    pair_key = (m,) + tuple(sorted(((r1.rid, occ1.path),
-                                                    (r2.rid, occ2.path))))
-                    if pair_key in seen:
-                        continue
-                    seen.add(pair_key)
-                    yield m, r1, occ1, r2, occ2
+            for r2, occ2 in reducer.occurrences(m):
+                if r2 is r1 and occ2.path == occ1.path:
+                    continue
+                if not (occ1.vertices & occ2.vertices):
+                    continue
+                if (occ1.vertices | occ2.vertices) != allv:
+                    continue
+                pair_key = (m,) + tuple(sorted(((r1.rid, occ1.path),
+                                                (r2.rid, occ2.path))))
+                if pair_key in seen:
+                    continue
+                seen.add(pair_key)
+                yield m, r1, occ1, r2, occ2
 
 
 def _spoly(m: Tree, r1: RewriteRule, o1: Occurrence, r2: RewriteRule,
@@ -323,12 +265,7 @@ def _echelon(vectors: Iterable[dict[Tree, Fraction]],
         hits = [(t, c) for t, c in row.items() if t in pivots]
         for t, c in hits:
             del row[t]
-            for u, v in pivots[t].items():
-                s = row.get(u, Fraction(0)) - c * v
-                if s:
-                    row[u] = s
-                else:
-                    row.pop(u, None)
+            axpy(row, pivots[t], -c)
     return pivots
 
 
@@ -461,13 +398,13 @@ def load_basis(path: str, validate: bool = True) -> GroebnerBasis:
 
 
 def validate_interreduced(b: GroebnerBasis) -> None:
-    """Check no lead divides another lead or any tail monomial."""
+    """Check no lead divides another lead or any tail monomial: the only
+    lead occurrence in a lead is the rule itself at the root."""
     for r in b.rules:
-        for other in b.rules:
-            if other is not r and other.arity <= r.arity:
-                if find_occurrences(other.lead, r.lead):
-                    raise BasisFormatError(
-                        f"lead {r.lead} divisible by lead {other.lead}")
+        for other, _occ in b.reducer.occurrences(r.lead):
+            if other is not r:
+                raise BasisFormatError(
+                    f"lead {r.lead} divisible by lead {other.lead}")
         for t in r.tail.terms:
             if b.reducer.find_divisor(t) is not None:
                 raise BasisFormatError(

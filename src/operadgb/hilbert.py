@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .groebner import BudgetExceededError, GroebnerBasis, RewriteRule
+from .groebner import BudgetExceededError, GroebnerBasis
 from .trees import (
     Tree,
     compositions,
     leaf,
     min_increasing_blocks,
     node,
-    occurrence_at,
     relabel_ordered,
 )
 
@@ -49,19 +48,9 @@ class NormalMonomials:
     def __init__(self, basis: GroebnerBasis):
         self.basis = basis
         self._levels: dict[int, tuple[Tree, ...]] = {1: (leaf(1),)}
-        self._root_index: dict[str, list[RewriteRule]] = {}
-        order = basis.order
-        for r in sorted(basis.rules,
-                        key=lambda r: (r.arity, order.key(r.lead), r.rid)):
-            self._root_index.setdefault(r.lead.gen, []).append(r)
 
     def _root_reducible(self, t: Tree) -> bool:
-        for rule in self._root_index.get(t.gen, ()):
-            if rule.arity > t.arity:
-                break
-            if occurrence_at(rule.lead, t, ()) is not None:
-                return True
-        return False
+        return next(self.basis.reducer.occurrences_at(t, ()), None) is not None
 
     def level(self, n: int) -> tuple[Tree, ...]:
         if n < 1:

@@ -3,6 +3,8 @@
 These deliberately avoid the Groebner engine: quotient dimensions are
 computed by expanding one-step consequences of the relations and doing
 exact Gaussian elimination over the full monomial basis of each arity.
+Differential Poisson normal forms are recomputed by a greatest-first
+worklist that does not share the memoized normal-form engine.
 """
 
 from __future__ import annotations
@@ -100,3 +102,25 @@ def quotient_dimension(p: Presentation, n: int) -> int:
     total = len(all_trees(p.generators, n))
     piv = consequence_pivots(p, n, order)
     return total - len(piv)
+
+
+def worklist_normal_form(ctx, poly: dict) -> dict:
+    """Normal form under the rewriting of a ``RewriteContext``, without a
+    memo: repeatedly rewrite the greatest reducible monomial (by
+    ``ctx.pm_key``) with its first application until nothing applies."""
+    work = dict(poly)
+    out: dict = {}
+    while work:
+        pm = max(work, key=ctx.pm_key)
+        c = work.pop(pm)
+        apps = ctx.applications(pm)
+        if not apps:
+            out[pm] = out.get(pm, Fraction(0)) + c
+            if not out[pm]:
+                del out[pm]
+            continue
+        for pm2, c2 in ctx.apply(pm, apps[0]).items():
+            work[pm2] = work.get(pm2, Fraction(0)) + c * c2
+            if not work[pm2]:
+                del work[pm2]
+    return out

@@ -30,6 +30,8 @@ from operadgb.presentation import (
     symmetric_to_shuffle,
 )
 
+from oracles import worklist_normal_form
+
 BUILTINS = builtin_presentations()
 
 
@@ -165,7 +167,7 @@ def test_poisson_rule_cooked_other_orientation(ctx, gd4):
 def test_normal_form_product_rule(ctx):
     # a b' -> a o b
     pm = ctx.make_monomial([(ctx.var_letter(1),), (ctx.var_letter(2, 1),)])
-    nf = ctx.normal_form_of(pm)
+    nf = ctx.normal_form({pm: Fraction(1)})
     e = ctx.to_operad(nf, 2)
     circ = ctx.circ_pair(ctx.var_base(1), ctx.var_base(2))
     assert e.terms == {b.tree: c for b, c in circ.items()}
@@ -193,6 +195,46 @@ def test_normal_form_routes_of_a3_monomial(ctx, gd4):
     want2 = (convert_instance(_rel("w", 4, [C(Br(3, C(1, 4)), 2)]), perm, GD_ACTION)
              + convert_instance(_rel("w", 4, [C(C(Br(1, 3), 4), 2)]), perm, GD_ACTION))
     assert bracket_first == reduce_element(want2, gd4)
+
+
+def test_normal_form_matches_worklist_oracle(ctx):
+    """The memoized normal form equals an unmemoized greatest-first
+    worklist on every degree-4 monomial and every route start; the shared
+    context makes later calls hit the memo."""
+    starts = [{pm: Fraction(1)} for pm in ctx.weight_minus_one_monomials(4)]
+    for amb in ctx.enumerate_ambiguities(4):
+        starts += [ctx.apply(amb.monomial, amb.app1),
+                   ctx.apply(amb.monomial, amb.app2)]
+    assert len(starts) > 200
+    for poly in starts:
+        assert ctx.normal_form(poly) == worklist_normal_form(ctx, poly)
+
+
+def _transplant(pm, ctx):
+    """The same monomial over the letters of another context."""
+    return tuple(tuple(Letter(ctx.base(l.base.tree, l.base.vars), l.order)
+                       for l in c) for c in pm)
+
+
+def test_trace_does_not_depend_on_the_memo(gd4):
+    """Each pair's trace is the same on a fresh context as on one that has
+    already computed every pair, in reverse order; on a fresh context it
+    has one line per reducible monomial the route's normal form visits."""
+    warm = RewriteContext(gd4)
+    ambs = warm.enumerate_ambiguities(4)
+    for amb in reversed(ambs):
+        warm.residue(amb)
+    for amb in ambs:
+        fresh = RewriteContext(gd4)
+        pm = _transplant(amb.monomial, fresh)
+        starts = [fresh.apply(pm, app) for app in (amb.app1, amb.app2)]
+        fresh.normal_form(starts[0])
+        reducible = [m for m, nf in fresh._nf_memo.items() if m not in nf]
+        got = [fresh.trace(start) for start in starts]
+        assert len(got[0]) == len(reducible) > 0
+        want = [warm.trace(warm.apply(amb.monomial, app))
+                for app in (amb.app1, amb.app2)]
+        assert got == want, format_monomial(amb.monomial)
 
 
 # -- ambiguities -------------------------------------------------------------
@@ -394,7 +436,7 @@ def test_rewriting_sound_in_poisson_model(ctx):
                 checked += 1
     assert checked > 40
     for pm in list(ctx.weight_minus_one_monomials(3))[:8]:
-        assert eval_pm(pm) == eval_poly(ctx.normal_form_of(pm))
+        assert eval_pm(pm) == eval_poly(ctx.normal_form({pm: Fraction(1)}))
 
 
 def test_termination_measure_decreases(ctx):

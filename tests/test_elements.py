@@ -6,7 +6,9 @@ import pytest
 from operadgb.elements import (
     ElementError,
     OperadElement,
+    axpy,
     graft_at,
+    memo_normal_form,
     reduce_row,
     shuffle_compose,
 )
@@ -156,3 +158,33 @@ def test_reduce_row_compares_monomials_by_equality():
                                fresh(("b", 1)): Fraction(3)}, pivots, mono_key)
     assert lead2 == fresh(("b", 1))
     assert tail2 == {fresh(("a", 1)): Fraction(-1, 6)}
+
+
+def test_axpy_cancels_and_keeps_fractions():
+    acc = {"a": Fraction(1), "b": Fraction(1, 2)}
+    assert axpy(acc, {"a": 1, "c": 2}, -1) is acc
+    assert acc == {"b": Fraction(1, 2), "c": Fraction(-2)}
+    assert all(type(v) is Fraction for v in acc.values())
+
+
+def test_memo_normal_form_is_linear_and_steps_each_monomial_once():
+    """n -> (n-1) + (n-2) for n >= 2 has normal form fib(n)*[1] +
+    fib(n-1)*[0]; the memo makes it one step per monomial."""
+    calls = []
+
+    def step(n):
+        calls.append(n)
+        return {n - 1: Fraction(1), n - 2: Fraction(1)} if n >= 2 else None
+
+    memo: dict = {}
+    assert memo_normal_form(30, step, memo) == {1: 832040, 0: 514229}
+    assert sorted(calls) == list(range(31))
+    assert memo_normal_form(20, step, memo) == {1: 6765, 0: 4181}
+    assert len(calls) == 31
+
+
+def test_memo_normal_form_deep_chain_and_cycle():
+    chain = memo_normal_form(5000, lambda n: {n - 1: Fraction(2)} if n else None, {})
+    assert chain == {0: Fraction(2) ** 5000}
+    with pytest.raises(ValueError, match="does not terminate"):
+        memo_normal_form(0, lambda n: {1 - n: Fraction(1)}, {})
