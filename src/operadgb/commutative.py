@@ -63,7 +63,9 @@ def mono_lcm(a: Mono, b: Mono) -> Mono:
 
 
 def mono_key(a: Mono):
-    return (mono_degree(a), a)
+    """Graded lex: total degree, then the exponents from the largest
+    variable down."""
+    return (mono_degree(a), a[::-1])
 
 
 class Poly:

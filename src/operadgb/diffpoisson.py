@@ -37,7 +37,13 @@ from itertools import combinations, permutations, product
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
-from .elements import OperadElement, axpy, memo_normal_form, reduce_row
+from .elements import (
+    OperadElement,
+    add_term,
+    axpy,
+    memo_normal_form,
+    reduce_row,
+)
 from .groebner import GroebnerBasis, reduce_element
 from .presentation import permute_element
 from .trees import Tree, leaf, node, relabel_ordered
@@ -270,11 +276,7 @@ class RewriteContext:
         return acc
 
     def _add(self, acc, pm, coeff) -> None:
-        s = acc.get(pm, Fraction(0)) + coeff
-        if s:
-            acc[pm] = s
-        else:
-            acc.pop(pm, None)
+        add_term(acc, pm, Fraction(coeff))
 
     def _apply_lie(self, pm: PMonomial, ci: int) -> dict[PMonomial, Fraction]:
         chain = pm[ci]

@@ -180,12 +180,7 @@ def shuffle_compose(f: OperadElement, pi: ShufflePartition,
             for tg, cg in choice:
                 coeff *= cg
                 mons.append(tg)
-            m = compose_monomials(tf, pi, mons)
-            s = acc.get(m, Fraction(0)) + coeff
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
+            add_term(acc, compose_monomials(tf, pi, mons), coeff)
     return OperadElement(acc, n)
 
 
@@ -203,12 +198,7 @@ def graft_at(host: Tree, occ: Occurrence, replacement: OperadElement) -> OperadE
     acc: dict[Tree, Fraction] = {}
     for t, c in replacement.terms.items():
         assignment = dict(zip(t.leaves, occ.slots))
-        grafted = replace_at(host, occ.path, substitute(t, assignment))
-        s = acc.get(grafted, Fraction(0)) + c
-        if s:
-            acc[grafted] = s
-        else:
-            acc.pop(grafted, None)
+        add_term(acc, replace_at(host, occ.path, substitute(t, assignment)), c)
     return OperadElement(acc, host.arity)
 
 
@@ -216,16 +206,36 @@ def graft_at(host: Tree, occ: Occurrence, replacement: OperadElement) -> OperadE
 # sparse accumulation, normal forms and exact elimination
 # ---------------------------------------------------------------------------
 
+def add_term(acc: dict[Hashable, Fraction], t: Hashable, c: Fraction) -> None:
+    """``acc[t] += c`` in place, dropping the entry if it cancels."""
+    s = acc.get(t)
+    if s is None:
+        acc[t] = c
+    elif s := s + c:
+        acc[t] = s
+    else:
+        del acc[t]
+
+
 def axpy(acc: dict[Hashable, Fraction], terms: Mapping[Hashable, Fraction],
          c: Fraction | int | None = None) -> dict[Hashable, Fraction]:
     """``acc += c * terms`` (``acc += terms`` without ``c``) in place,
-    dropping coefficients that cancel; returns ``acc``."""
+    dropping coefficients that cancel; returns ``acc``.  Stored values are
+    always :class:`Fraction`; ``terms`` is only read."""
+    c = Fraction(1) if c is None else Fraction(c)
+    if not c:
+        return acc
+    scaled = c != 1
     for t, v in terms.items():
-        s = acc.get(t, Fraction(0)) + (v if c is None else c * v)
-        if s:
+        if scaled or type(v) is not Fraction:
+            v = c * v
+        s = acc.get(t)
+        if s is None:
+            acc[t] = v
+        elif s := s + v:
             acc[t] = s
         else:
-            acc.pop(t, None)
+            del acc[t]
     return acc
 
 

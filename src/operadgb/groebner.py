@@ -11,10 +11,13 @@ equal-arity divisor is the whole tree), so all interaction inside a stratum
 is plain linear algebra.
 
 Reduction is deterministic: a monomial's one rewrite step uses the divisor
-at its first pre-order position, rules tried in a fixed order, so normal
-forms are linear and are memoized per monomial by
-:func:`~operadgb.elements.memo_normal_form`.  The reducer fills its memos
-lazily, so it is not safe to share between threads.
+at its first pre-order position, rules tried in a fixed order (arity, lead
+key, rid), so normal forms are linear and are memoized per monomial by
+:func:`~operadgb.elements.memo_normal_form`.  A trie over the leads'
+pre-order skeletons yields the candidate rules at a position in that order,
+each confirmed by a full occurrence match, so the index cannot change the
+divisor.  The reducer fills its memos lazily, so it is not safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -84,15 +87,24 @@ class RewriteRule:
 
 
 class _Reducer:
-    """Normal-form engine over a fixed rule set, with per-monomial memo."""
+    """Normal-form engine over a fixed rule set, with per-monomial memo.
+    The lead index is a trie over the leads' pre-order skeletons: each
+    vertex's ``gen``, which is ``None`` (a wildcard) at a leaf."""
 
     def __init__(self, rules: Sequence[RewriteRule], order: TreeOrder):
         self.order = order
         self.rules = tuple(rules)
-        self._index: dict[str, list[RewriteRule]] = {}
-        for r in sorted(self.rules,
-                        key=lambda r: (r.arity, order.key(r.lead), r.rid)):
-            self._index.setdefault(r.lead.gen, []).append(r)
+        # rule order: (arity, lead key, rid); a trie node is (next, ranks)
+        self._ranked = sorted(
+            self.rules, key=lambda r: (r.arity, order.key(r.lead), r.rid))
+        self._trie: tuple[dict, list[int]] = ({}, [])
+        for rank, r in enumerate(self._ranked):
+            trie, todo = self._trie, [r.lead]
+            while todo:  # pre-order
+                t = todo.pop()
+                trie = trie[0].setdefault(t.gen, ({}, []))
+                todo.extend(reversed(t.children))
+            trie[1].append(rank)
         self._memo: dict[Tree, dict[Tree, Fraction]] = {}
         self._div_memo: dict[Tree, tuple[RewriteRule, Occurrence] | None] = {}
 
@@ -102,13 +114,31 @@ class _Reducer:
         for path in iter_positions(m):
             yield from self.occurrences_at(m, path)
 
+    def candidates(self, sub: Tree) -> list[RewriteRule]:
+        """The rules whose lead skeleton fits ``sub`` at its root, in rule
+        order; a superset of the leads that divide ``sub`` there."""
+        ranks: list[int] = []
+        # pending subtrees in pre-order, as a linked list (head, rest)
+        stack = [(self._trie, (sub, None))]
+        while stack:
+            (nxt, here), pending = stack.pop()
+            if pending is None:
+                ranks += here
+                continue
+            t, rest = pending
+            if None in nxt:
+                stack.append((nxt[None], rest))
+            if t.gen is not None and t.gen in nxt:
+                for c in reversed(t.children):
+                    rest = (c, rest)
+                stack.append((nxt[t.gen], rest))
+        ranks.sort()
+        return [self._ranked[i] for i in ranks]
+
     def occurrences_at(self, m: Tree, path: tuple[int, ...]):
         """The ``(rule, occurrence)`` pairs anchored at ``path``, in rule
         order."""
-        sub = subtree_at(m, path)
-        for rule in self._index.get(sub.gen, ()):
-            if rule.arity > sub.arity:
-                break  # bucket sorted by arity
+        for rule in self.candidates(subtree_at(m, path)):
             occ = occurrence_at(rule.lead, m, path)
             if occ is not None:
                 yield rule, occ

@@ -38,20 +38,16 @@ class _Tokens:
         self.pos = 0
         self.toks: list[tuple[str, str, int]] = []
         pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                raise ParseError(f"unexpected character {stripped[0]!r}",
-                                 line, pos + 1)
+        for m in _TOKEN.finditer(text):
+            if m.start() != pos:
+                break  # unmatched text before this token
+            kind = m.lastgroup
+            self.toks.append((kind, m.group(kind), m.start(kind) + 1))
             pos = m.end()
-            for kind in ("int", "name", "punct"):
-                val = m.group(kind)
-                if val is not None:
-                    self.toks.append((kind, val, m.start(kind) + 1))
-                    break
+        stripped = text[pos:].lstrip()
+        if stripped:
+            raise ParseError(f"unexpected character {stripped[0]!r}",
+                             line, pos + 1)
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None

@@ -12,6 +12,8 @@ from operadgb.elements import (
     reduce_row,
     shuffle_compose,
 )
+from operadgb.groebner import buchberger
+from operadgb.presentation import builtin_presentations
 from operadgb.trees import (
     GeneratorSymbol,
     ShufflePartition,
@@ -165,6 +167,35 @@ def test_axpy_cancels_and_keeps_fractions():
     assert axpy(acc, {"a": 1, "c": 2}, -1) is acc
     assert acc == {"b": Fraction(1, 2), "c": Fraction(-2)}
     assert all(type(v) is Fraction for v in acc.values())
+
+
+def test_axpy_with_zero_scale_stores_nothing():
+    acc = {"a": Fraction(1)}
+    assert axpy(acc, {"a": Fraction(-1), "b": Fraction(2)}, 0) is acc
+    assert acc == {"a": Fraction(1)}
+    assert axpy({}, {"b": Fraction(2)}, Fraction(0)) == {}
+
+
+def test_axpy_without_scale_stores_fractions_from_ints():
+    acc = axpy({}, {"a": 3, "b": -1})
+    assert acc == {"a": 3, "b": -1}
+    assert all(type(v) is Fraction for v in acc.values())
+    # reduce_row divides stored values; an int would make that a float
+    assert type(acc["a"] / 2) is Fraction
+
+
+def test_axpy_never_mutates_terms():
+    """The reducer's memoized normal forms are added into rows by
+    reference, so they must come out of every reduction unchanged."""
+    basis = buchberger(builtin_presentations()["novikov"], 4)
+    reducer = basis.reducer
+    f = OperadElement({m: Fraction(i % 5 - 2) for i, m in
+                       enumerate(all_trees(basis.generators, 4))}, 4)
+    first = reducer.nf_terms(f.terms)
+    snapshot = {m: dict(nf) for m, nf in reducer._memo.items()}
+    assert reducer.nf_terms(f.terms) == first
+    assert reducer.nf_terms(f.scale(3).terms) == OperadElement(first, 4).scale(3).terms
+    assert {m: dict(nf) for m, nf in reducer._memo.items()} == snapshot
 
 
 def test_memo_normal_form_is_linear_and_steps_each_monomial_once():

@@ -8,6 +8,8 @@ from operadgb.commutative import (
     groebner_report,
     is_groebner,
     mono,
+    mono_key,
+    mono_mul,
     normal_monomials_up_to,
     reduce_poly,
 )
@@ -237,6 +239,31 @@ def test_groebner_report_flags_non_basis():
     # {u^2 - v, u*v} is not a Groebner basis (S-poly leaves v^2 ... it does reduce?)
     bad = [u * u - v * v * v, u * v - Poly.const(1)]
     assert groebner_report(bad)
+
+
+def test_reduce_poly_terminates_under_graded_lex():
+    """b > a makes a*b the lead of a^2 - a*b, so a^2 is already normal; an
+    order with a^2 > a*b would rewrite a^2 -> a*b -> a^2 forever."""
+    a, b = Poly.var("a"), Poly.var("b")
+    assert reduce_poly(a * a, [b - a, a * a - a * b]) == a * a
+
+
+def test_mono_key_is_a_monomial_order():
+    rng = random.Random(20211)
+    variables = ("a", "b", "c")
+
+    def rand_mono():
+        return mono(*((v, rng.randrange(4)) for v in variables))
+
+    assert mono_key(mono()) < mono_key(mono(("a", 1))) < mono_key(mono(("b", 1)))
+    for _ in range(2000):
+        m1, m2, m3 = rand_mono(), rand_mono(), rand_mono()
+        if m1 == m2:
+            continue
+        assert mono_key(m1) != mono_key(m2)
+        if mono_key(m1) > mono_key(m2):
+            m1, m2 = m2, m1
+        assert mono_key(mono_mul(m1, m3)) < mono_key(mono_mul(m2, m3))
 
 
 def test_classification_invariant_under_basis_change():

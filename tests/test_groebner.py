@@ -6,6 +6,7 @@ from operadgb.elements import OperadElement
 from operadgb.groebner import (
     BasisFormatError,
     BudgetExceededError,
+    RewriteRule,
     _Reducer,
     _echelon,
     _spoly,
@@ -20,7 +21,15 @@ from operadgb.groebner import (
 )
 from operadgb.hilbert import count_normal_monomials, emit_table, normal_monomials
 from operadgb.presentation import builtin_presentations, shuffle_images
-from operadgb.trees import all_trees, leaf, node
+from operadgb.trees import (
+    GeneratorSymbol,
+    all_trees,
+    find_occurrences,
+    iter_positions,
+    leaf,
+    node,
+    order_for,
+)
 
 from oracles import quotient_dimension
 
@@ -40,6 +49,11 @@ def gd4():
 @pytest.fixture(scope="module")
 def gd5():
     return buchberger(BUILTINS["gd"], 5)
+
+
+@pytest.fixture(scope="module")
+def wsgd5():
+    return buchberger(BUILTINS["wsgd"], 5)
 
 
 def s_polynomials(r1, r2, max_arity, basis):
@@ -260,3 +274,60 @@ def test_echelon_independent_of_input_order(gd4):
         shuffled = vectors[:]
         rng.shuffle(shuffled)
         assert _echelon(shuffled, order) == pivots
+
+
+# -- the lead index against a brute-force scan -----------------------------
+
+def scan_occurrences(rules, order, m):
+    """Every (rule, occurrence) in ``m`` by pre-order position, then rule
+    order (arity, lead key, rid), found by trying every rule everywhere."""
+    ranked = sorted(rules, key=lambda r: (r.arity, order.key(r.lead), r.rid))
+    position = {p: i for i, p in enumerate(iter_positions(m))}
+    found = [(position[occ.path], rank, rule, occ)
+             for rank, rule in enumerate(ranked)
+             for occ in find_occurrences(rule.lead, m)]
+    found.sort(key=lambda f: f[:2])
+    return [(rule, occ) for _pos, _rank, rule, occ in found]
+
+
+def assert_index_matches_scan(rules, order, monomials):
+    reducer = _Reducer(rules, order)
+    hits = 0
+    for m in monomials:
+        expected = scan_occurrences(rules, order, m)
+        assert list(reducer.occurrences(m)) == expected, m
+        hits += len(expected)
+    assert hits  # the scan must not be vacuous
+
+
+def test_lead_index_matches_scan_up_to_arity4(gd5, wsgd5):
+    for basis in (gd5, wsgd5):
+        monomials = [m for n in range(2, 5)
+                     for m in all_trees(basis.generators, n)]
+        assert_index_matches_scan(basis.rules, basis.order, monomials)
+
+
+def test_lead_index_matches_scan_at_arity5(gd5, wsgd5):
+    rng = random.Random(41)
+    for basis in (gd5, wsgd5, buchberger(BUILTINS["novikov"], 5)):
+        sample = rng.sample(all_trees(basis.generators, 5), 300)
+        assert_index_matches_scan(basis.rules, basis.order, sample)
+
+
+def test_lead_index_with_leaf_children_on_either_side():
+    """Leads with a bare leaf left or right of the root, two leads with
+    one skeleton, a lead that also occurs inside other leads, and one lead
+    under two rule ids."""
+    gens = (GeneratorSymbol("x", 2), GeneratorSymbol("y", 2))
+    order = order_for("pathlex", ("x", "y"))
+
+    def t(gen, *kids):
+        return node(gen, [leaf(k) if isinstance(k, int) else k for k in kids])
+
+    leads = [t("x", 1, t("y", 2, 3)), t("x", t("y", 1, 2), 3),
+             t("x", t("y", 1, 3), 2), t("y", 1, 2),
+             t("y", t("x", 1, 2), t("x", 3, 4)), t("x", 1, t("y", 2, 3))]
+    rules = [RewriteRule(lead, OperadElement.zero(lead.arity), rid)
+             for rid, lead in zip((7, 3, 5, 9, 1, 2), leads)]
+    monomials = [m for n in range(2, 6) for m in all_trees(gens, n)]
+    assert_index_matches_scan(rules, order, monomials)

@@ -22,7 +22,12 @@ from operadgb.presentation import (
     parse_presentation,
     symmetric_to_shuffle,
 )
-from operadgb.syntax import ParseError, format_element, parse_element
+from operadgb.syntax import (
+    ParseError,
+    format_element,
+    parse_element,
+    parse_monomial,
+)
 
 from oracles import consequence_pivots, span_rank
 
@@ -54,6 +59,32 @@ def test_parse_examples():
         parse_element("w(1 2)", GD.generators)
     with pytest.raises(ParseError):
         parse_element("x(1 2 3)", GD.generators)
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_monomial, "x(1 #2)", "line 1, column 4: unexpected character '#'"),
+    (parse_element, "x(1 2)#", "line 1, column 7: unexpected character '#'"),
+    # the column is where the unmatched text starts, blanks included
+    (parse_element, "x(1 2) - #y(1 2)",
+     "line 1, column 9: unexpected character '#'"),
+    (parse_element, "x(1 2)   $", "line 1, column 7: unexpected character '$'"),
+    (parse_monomial, "x(1 2) 3", "line 1, column 8: trailing input after monomial"),
+    (parse_monomial, "x(1 y(2 3)", "line 1, column 11: unclosed '('"),
+    (parse_element, "x(1 2) - 3/ x(1 2)", "line 1, column 13: expected denominator"),
+    (parse_element, "3/y x(1 2)", "line 1, column 3: expected denominator"),
+])
+def test_parse_error_messages(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text, GD.generators)
+    assert str(err.value) == message
+
+
+def test_parse_error_keeps_line_and_allows_blanks():
+    with pytest.raises(ParseError) as err:
+        parse_monomial("x(1 #2)", GD.generators, line=5)
+    assert (err.value.line, err.value.col) == (5, 4)
+    assert parse_monomial("  x(1 2)  ", GD.generators) == \
+        parse_monomial("x(1 2)", GD.generators)
 
 
 def test_roundtrip_canonical_stability():

@@ -6,8 +6,10 @@ import importlib
 import inspect
 from pathlib import Path
 
-from operadgb.groebner import _Reducer
-from operadgb.trees import order_for
+from operadgb import groebner
+from operadgb.groebner import _Reducer, buchberger
+from operadgb.presentation import builtin_presentations
+from operadgb.trees import all_trees, iter_positions, order_for, subtree_at
 
 TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
 
@@ -36,3 +38,25 @@ def test_traced_targets_resolve():
 
 def test_reducer_keeps_the_memo_the_tracer_reads():
     assert isinstance(_Reducer((), order_for("pathlex", ("x",)))._memo, dict)
+
+
+def test_reducer_matches_through_the_module_global(monkeypatch):
+    """The tracer counts ``trees.occurrence_at`` by replacing the name in
+    ``groebner``; the reducer must look it up there, once per trie
+    candidate at most."""
+    basis = buchberger(builtin_presentations()["gd"], 4)
+    reducer = _Reducer(basis.rules, basis.order)
+    monomials = all_trees(basis.generators, 4)[::7]
+    candidates = sum(len(reducer.candidates(subtree_at(m, p)))
+                     for m in monomials for p in iter_positions(m))
+    calls = []
+    real = groebner.occurrence_at
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "occurrence_at", counted)
+    for m in monomials:
+        list(reducer.occurrences(m))
+    assert 0 < len(calls) <= candidates
