@@ -27,7 +27,7 @@ from .diffpoisson import (
     independent_identities,
 )
 from .gdmodels import (
-    EmbeddingReport,
+    CheckReport,
     GDModelError,
     GDTable,
     case1_check,
@@ -229,14 +229,14 @@ def cmd_check_gd(cfg: RunConfig, out=None) -> int:
                  "at derivative order 3)" if ok else "FAILED"), file=out)
         return EXIT_OK if ok else EXIT_NONZERO
     if cls.case == "case2":
-        rep = EmbeddingReport()
+        rep = CheckReport()
         ok = verify_embedding(case2_table(cls.alpha),
                               case2_envelope(cls.alpha), 6, rep)
         print(rep.as_text(), file=out)
         print("embedding " + ("verified" if ok else "FAILED"), file=out)
         return EXIT_OK if ok else EXIT_NONZERO
     if cls.case == "case3":
-        rep = EmbeddingReport()
+        rep = CheckReport()
         ok = verify_embedding(case3_table(), case3_envelope(), 6, rep)
         print(rep.as_text(), file=out)
         print("embedding " + ("verified" if ok else "FAILED"), file=out)

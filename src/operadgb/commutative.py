@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .elements import axpy, memo_normal_form
+from .elements import add_term, axpy, memo_normal_form
 
 Mono = tuple  # tuple[(var, exp), ...] sorted by var, exps > 0
 
@@ -142,7 +142,7 @@ class Poly:
                 continue
             md[v] = e - 1
             key = tuple(sorted((w, x) for w, x in md.items() if x))
-            acc[key] = acc.get(key, Fraction(0)) + c * e
+            add_term(acc, key, c * e)
         return Poly(acc)
 
     def degree(self) -> int:

@@ -327,7 +327,6 @@ class RewriteContext:
         n = blet.order
         if n < 1 or alpha.order != 0:
             raise DiffPoissonError("P-rule needs underived factor and derived chain end")
-        k = len(interior)
         acc: dict[PMonomial, Fraction] = {}
         # {g_1,...,{g_k, (alpha o beta)^(n-1)}}
         for delta, cd in self.circ_pair(alpha.base, blet.base).items():
@@ -341,21 +340,10 @@ class RewriteContext:
                                          Letter(alpha.base, i),
                                          Letter(blet.base, n - i)):
                 self._add(acc, pm2, coeff * c2)
-        # - sum over nonempty S of {g_S, alpha} {g_rest, beta^(n)}
-        idx = tuple(range(k))
-        for r in range(1, k + 1):
-            for S in combinations(idx, r):
-                rest = tuple(j for j in idx if j not in S)
-                s1, c1 = self.make_chain(
-                    tuple(interior[j] for j in S) + (alpha,))
-                if c1 is None:
-                    continue
-                s2, c2 = self.make_chain(
-                    tuple(interior[j] for j in rest) + (blet,))
-                if c2 is None:
-                    continue
-                self._add(acc, self._replace(pm, (ai, ci), [c1, c2]),
-                          -sgn * s1 * s2)
+        # - sum over nonempty S of {g_S, alpha} {g_rest, beta^(n)}: the
+        # Leibniz expansion without its first entry, S empty, which is +-pm
+        for pm2, c2 in self._leibniz(pm, (ai, ci), interior, alpha, blet)[1:]:
+            self._add(acc, pm2, -sgn * c2)
         return acc
 
     def _leibniz(self, pm, dropped, interior, u: Letter, v: Letter):
@@ -425,7 +413,7 @@ class RewriteContext:
             base = pm[0][0].base
             if base.vars != want:
                 raise DiffPoissonError("normal form does not cover all variables")
-            terms[base.tree] = terms.get(base.tree, Fraction(0)) + c
+            add_term(terms, base.tree, c)
         return OperadElement(terms, nvars)
 
     # -- weight-(-1) enumeration and ambiguities ------------------------------

@@ -40,7 +40,8 @@ class OperadElement:
         for t, c in (terms or {}).items():
             if not isinstance(t, Tree):
                 raise ElementError(f"term keys must be tree monomials, got {t!r}")
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if c == 0:
                 continue
             clean[t] = c
@@ -138,7 +139,7 @@ def element_from_terms(pairs: Iterable[tuple[Fraction | int, Tree]],
                        arity: int | None = None) -> OperadElement:
     acc: dict[Tree, Fraction] = {}
     for c, t in pairs:
-        acc[t] = acc.get(t, Fraction(0)) + Fraction(c)
+        add_term(acc, t, Fraction(c))
     return OperadElement(acc, arity)
 
 

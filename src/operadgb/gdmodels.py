@@ -1,26 +1,40 @@
 """Finite-dimensional Gelfand-Dorfman algebras given by structure constants.
 
-Covers axiom verification on all basis triples, the classification of
-2-dimensional algebras into the three parameter cases (after normalizing
-the bracket to [u,v] = v), and verification of the explicit differential
-Poisson envelopes for each case, with exact rational arithmetic throughout.
+Covers axiom verification (the defining identities of
+:mod:`operadgb.presentation` evaluated on every tuple of basis vectors), the
+classification of 2-dimensional algebras into the three parameter cases
+(after normalizing the bracket to [u,v] = v), and verification of the
+explicit differential Poisson envelopes for each case, with exact rational
+arithmetic throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from itertools import product
+from typing import Callable, Sequence
 
 from .commutative import (
     Poly,
     ZERO,
     is_groebner,
+    mono,
     mono_key,
     normal_monomials_up_to,
     reduce_poly,
 )
 from .elements import reduce_row
+from .presentation import (
+    ANTISYMMETRY,
+    CIRC,
+    GD_COMPAT,
+    JACOBI,
+    LEFT_SYMMETRY,
+    RIGHT_COMMUTATIVITY,
+    SymmetricRelation,
+    Term,
+)
 
 
 class GDModelError(ValueError):
@@ -67,27 +81,26 @@ class GDTable:
             self.bracket[i][j] = tuple(Fraction(c) for c in v)
 
     # bilinear extensions
-    def mul_circ(self, a: Vec, b: Vec) -> Vec:
+    def _mul(self, table, a: Vec, b: Vec) -> Vec:
         out = _vec(self.dim)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                if not cb:
-                    continue
-                out = _add(out, _scale(self.circ[i][j], ca * cb))
+        for (i, ca), (j, cb) in product(enumerate(a), enumerate(b)):
+            if ca and cb:
+                out = _add(out, _scale(table[i][j], ca * cb))
         return out
 
+    def mul_circ(self, a: Vec, b: Vec) -> Vec:
+        return self._mul(self.circ, a, b)
+
     def mul_bracket(self, a: Vec, b: Vec) -> Vec:
-        out = _vec(self.dim)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                if not cb:
-                    continue
-                out = _add(out, _scale(self.bracket[i][j], ca * cb))
-        return out
+        return self._mul(self.bracket, a, b)
+
+    def evaluate(self, term: Term, args: Sequence[Vec]) -> Vec:
+        """A symbolic identity term with variable i bound to ``args[i-1]``."""
+        if isinstance(term, int):
+            return args[term - 1]
+        op, a, b = term
+        return self._mul(self.circ if op == CIRC else self.bracket,
+                         self.evaluate(a, args), self.evaluate(b, args))
 
     def basis(self, i: int) -> Vec:
         return _vec(self.dim, {i: 1})
@@ -142,71 +155,56 @@ class GDTable:
 
 
 @dataclass
-class AxiomReport:
-    """Per-axiom verdicts with a witnessing basis triple on failure."""
+class CheckReport:
+    """Named verdicts, each failure with a witness; ``witness_label``
+    prefixes the witness in the text form."""
 
-    results: list[tuple[str, bool, str]] = field(default_factory=list)
+    checks: list[tuple[str, bool, str]] = field(default_factory=list)
+    witness_label: str = ""
+
+    def record(self, name: str, ok: bool, witness: str = "") -> bool:
+        self.checks.append((name, ok, witness))
+        return ok
 
     @property
     def passed(self) -> bool:
-        return all(ok for _n, ok, _w in self.results)
+        return all(ok for _n, ok, _w in self.checks)
 
     def failures(self) -> list[str]:
-        return [f"{name} fails at {w}" for name, ok, w in self.results if not ok]
+        return [f"{name} fails at {w}" for name, ok, w in self.checks if not ok]
 
     def as_text(self) -> str:
         return "\n".join(f"{'PASS' if ok else 'FAIL'}  {name}"
-                         + ("" if ok else f"  (witness {w})")
-                         for name, ok, w in self.results)
+                         + ("" if ok else f"  ({self.witness_label}{w})")
+                         for name, ok, w in self.checks)
 
 
-def check_gd_axioms(t: GDTable) -> AxiomReport:
-    """Verify the defining identities on all basis triples."""
-    report = AxiomReport()
-    dim = t.dim
-    basis = [t.basis(i) for i in range(dim)]
+# the defining identities, in the order and under the names check-gd prints
+GD_AXIOMS: tuple[tuple[str, SymmetricRelation], ...] = (
+    ("bracket-antisymmetry", ANTISYMMETRY),
+    ("left-symmetry", LEFT_SYMMETRY),
+    ("right-commutativity", RIGHT_COMMUTATIVITY),
+    ("jacobi", JACOBI),
+    ("compatibility", GD_COMPAT),
+)
 
-    def scan(name, fn):
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    if not _is_zero(fn(basis[i], basis[j], basis[k])):
-                        report.results.append(
-                            (name, False, f"(e{i + 1},e{j + 1},e{k + 1})"))
-                        return
-        report.results.append((name, True, ""))
 
-    def skew():
-        for i in range(dim):
-            for j in range(dim):
-                if not _is_zero(_add(t.bracket[i][j],
-                                     t.bracket[j][i])):
-                    report.results.append(
-                        ("bracket-antisymmetry", False, f"(e{i + 1},e{j + 1})"))
-                    return
-        report.results.append(("bracket-antisymmetry", True, ""))
-
-    skew()
-    scan("left-symmetry", lambda a, b, c: _add(
-        t.mul_circ(t.mul_circ(a, b), c),
-        _scale(_add(t.mul_circ(t.mul_circ(b, a), c),
-                    _scale(_add(t.mul_circ(b, t.mul_circ(a, c)),
-                                _scale(t.mul_circ(a, t.mul_circ(b, c)), -1)),
-                           -1)), -1)))
-    scan("right-commutativity", lambda a, b, c: _add(
-        t.mul_circ(t.mul_circ(a, b), c),
-        _scale(t.mul_circ(t.mul_circ(a, c), b), -1)))
-    scan("jacobi", lambda a, b, c: _add(
-        t.mul_bracket(t.mul_bracket(a, b), c),
-        _add(t.mul_bracket(t.mul_bracket(b, c), a),
-             t.mul_bracket(t.mul_bracket(c, a), b))))
-    scan("compatibility", lambda a, b, c: _add(
-        t.mul_circ(b, t.mul_bracket(a, c)),
-        _scale(_add(_add(t.mul_bracket(a, t.mul_circ(b, c)),
-                         _scale(t.mul_bracket(c, t.mul_circ(b, a)), -1)),
-                    _add(t.mul_circ(t.mul_bracket(b, a), c),
-                         _scale(t.mul_circ(t.mul_bracket(b, c), a), -1))),
-               -1)))
+def check_gd_axioms(t: GDTable) -> CheckReport:
+    """Evaluate each defining identity on every tuple of basis vectors;
+    a failure is witnessed by the first tuple where it is nonzero."""
+    report = CheckReport(witness_label="witness ")
+    basis = [t.basis(i) for i in range(t.dim)]
+    for name, rel in GD_AXIOMS:
+        witness = ""
+        for idx in product(range(t.dim), repeat=rel.nvars):
+            args = [basis[i] for i in idx]
+            value = _vec(t.dim)
+            for c, term in rel.terms:
+                value = _add(value, _scale(t.evaluate(term, args), c))
+            if not _is_zero(value):
+                witness = "(" + ",".join(f"e{i + 1}" for i in idx) + ")"
+                break
+        report.record(name, not witness, witness)
     return report
 
 
@@ -305,73 +303,80 @@ def _coords_in(x: Vec, u: Vec, v: Vec) -> tuple[Fraction, Fraction]:
 @dataclass
 class EnvelopeSpec:
     """A differential Poisson algebra presented by commutative relations, a
-    bracket and a derivation on generators, plus an embedding map."""
+    bracket and a derivation on generators, plus an embedding map.  A
+    bracket or derivative the spec does not give raises GDModelError rather
+    than reading as zero; only {g, g} = 0 is implied."""
 
-    generators: tuple[str, ...]
+    generators: tuple
     relations: tuple[Poly, ...]
-    bracket: dict[tuple[str, str], Poly]
-    derivation: dict[str, Poly]
-    embedding: tuple[Poly, ...]  # images of the GD-algebra basis
+    bracket: dict[tuple, Poly]
+    derivation: dict[object, Poly]
+    embedding: tuple[Poly, ...] = ()  # images of the GD-algebra basis
     name: str = "envelope"
 
-    def pair_bracket(self, g1: str, g2: str) -> Poly:
+    def pair_bracket(self, g1, g2) -> Poly:
         if (g1, g2) in self.bracket:
             return self.bracket[(g1, g2)]
         if (g2, g1) in self.bracket:
             return -self.bracket[(g2, g1)]
-        return ZERO
+        if g1 == g2:
+            return ZERO
+        raise GDModelError(f"{self.name}: no bracket {{{g1}, {g2}}}")
 
     def lie_bracket(self, f: Poly, g: Poly) -> Poly:
         """Extend the generator bracket to polynomials as a biderivation."""
+        dgs = [(g2, dg) for g2 in self.generators if (dg := g.diff(g2))]
         acc = ZERO
         for g1 in self.generators:
             df = f.diff(g1)
-            if df.is_zero():
-                continue
-            for g2 in self.generators:
-                dg = g.diff(g2)
-                if dg.is_zero():
-                    continue
-                acc = acc + df * dg * self.pair_bracket(g1, g2)
+            if df:
+                for g2, dg in dgs:
+                    acc = acc + df * dg * self.pair_bracket(g1, g2)
         return acc
 
     def d(self, f: Poly) -> Poly:
         acc = ZERO
-        for g1 in self.generators:
-            df = f.diff(g1)
-            if not df.is_zero():
-                acc = acc + df * self.derivation.get(g1, ZERO)
+        for g in self.generators:
+            df = f.diff(g)
+            if df:
+                if g not in self.derivation:
+                    raise GDModelError(f"{self.name}: no derivative of {g}")
+                acc = acc + df * self.derivation[g]
         return acc
 
     def circ(self, f: Poly, g: Poly) -> Poly:
         return f * self.d(g)
 
 
-@dataclass
-class EmbeddingReport:
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
+def _jacobi_failure(env: EnvelopeSpec, gens: Sequence,
+                    nf: Callable[[Poly], Poly]) -> str:
+    """The first generator triple where the Jacobi identity fails modulo
+    ``nf``, or "" (a triderivation vanishing on generators vanishes)."""
+    br = env.lie_bracket
+    for g1, g2, g3 in product(gens, repeat=3):
+        p1, p2, p3 = (Poly.var(g) for g in (g1, g2, g3))
+        if nf(br(p1, br(p2, p3)) + br(p2, br(p3, p1)) + br(p3, br(p1, p2))):
+            return f"({g1},{g2},{g3})"
+    return ""
 
-    def record(self, name: str, ok: bool, witness: str = "") -> bool:
-        self.checks.append((name, ok, witness))
-        return ok
 
-    @property
-    def passed(self) -> bool:
-        return all(ok for _n, ok, _w in self.checks)
-
-    def as_text(self) -> str:
-        return "\n".join(f"{'PASS' if ok else 'FAIL'}  {name}"
-                         + ("" if ok else f"  ({w})")
-                         for name, ok, w in self.checks)
+def _derivation_failure(env: EnvelopeSpec, polys: Sequence[Poly],
+                        nf: Callable[[Poly], Poly]) -> str:
+    """The first pair with d{f,g} != {df,g} + {f,dg} modulo ``nf``, or ""."""
+    br, d = env.lie_bracket, env.d
+    for f, g in product(polys, repeat=2):
+        if nf(d(br(f, g)) - (br(d(f), g) + br(f, d(g)))):
+            return f"d{{{f},{g}}}"
+    return ""
 
 
 def verify_embedding(t: GDTable, env: EnvelopeSpec,
                      truncation_degree: int = 6,
-                     report: EmbeddingReport | None = None) -> bool:
+                     report: CheckReport | None = None) -> bool:
     """Check that the envelope is a differential Poisson algebra (to the
     stated truncation) and that the embedding preserves the table exactly.
     """
-    rep = report if report is not None else EmbeddingReport()
+    rep = report if report is not None else CheckReport()
     gens = env.generators
     rels = list(env.relations)
     if not rep.record("relations form a commutative Groebner basis",
@@ -382,75 +387,33 @@ def verify_embedding(t: GDTable, env: EnvelopeSpec,
         return reduce_poly(p, rels)
 
     # ideal stable under the bracket and the derivation
-    ok = True
-    for r in rels:
-        for g1 in gens:
-            if nf(env.lie_bracket(Poly.var(g1), r)):
-                ok = rep.record("ideal closed under the bracket", False,
-                                f"{{{g1}, {r}}}")
-                break
-        if not ok:
-            break
-    else:
-        rep.record("ideal closed under the bracket", True)
-    for r in rels:
-        if nf(env.d(r)):
-            rep.record("ideal closed under the derivation", False, str(r))
-            break
-    else:
-        rep.record("ideal closed under the derivation", True)
-
-    # Jacobi on generators (a triderivation vanishing on generators vanishes)
-    jac_ok = True
-    witness = ""
-    for g1 in gens:
-        for g2 in gens:
-            for g3 in gens:
-                p1, p2, p3 = (Poly.var(g) for g in (g1, g2, g3))
-                jac = (env.lie_bracket(p1, env.lie_bracket(p2, p3))
-                       + env.lie_bracket(p2, env.lie_bracket(p3, p1))
-                       + env.lie_bracket(p3, env.lie_bracket(p1, p2)))
-                if nf(jac):
-                    jac_ok, witness = False, f"({g1},{g2},{g3})"
-                    break
-    rep.record("jacobi identity", jac_ok, witness)
-
+    bad = next((f"{{{g1}, {r}}}" for r in rels for g1 in gens
+                if nf(env.lie_bracket(Poly.var(g1), r))), "")
+    rep.record("ideal closed under the bracket", not bad, bad)
+    bad = next((str(r) for r in rels if nf(env.d(r))), "")
+    rep.record("ideal closed under the derivation", not bad, bad)
+    bad = _jacobi_failure(env, gens, nf)
+    rep.record("jacobi identity", not bad, bad)
     # derivation compatible with the bracket on normal monomials
     normals = [Poly({m: 1}) for m in
                normal_monomials_up_to(rels, gens, truncation_degree)]
-    comp_ok = True
-    witness = ""
-    for f in normals:
-        for g in normals:
-            lhs = env.d(env.lie_bracket(f, g))
-            rhs = env.lie_bracket(env.d(f), g) + env.lie_bracket(f, env.d(g))
-            if nf(lhs - rhs):
-                comp_ok, witness = False, f"d{{{f},{g}}}"
-                break
-        if not comp_ok:
-            break
+    bad = _derivation_failure(env, normals, nf)
     rep.record(
         f"derivation compatible with bracket (degree <= {truncation_degree})",
-        comp_ok, witness)
+        not bad, bad)
 
     # the embedding preserves both products
-    emb_ok = True
-    witness = ""
-    for i in range(t.dim):
-        for j in range(t.dim):
-            want_c = _image_of(t.circ[i][j], env.embedding)
-            got_c = env.circ(env.embedding[i], env.embedding[j])
-            if nf(got_c - want_c):
-                emb_ok, witness = False, f"e{i + 1} o e{j + 1}"
-                break
-            want_b = _image_of(t.bracket[i][j], env.embedding)
-            got_b = env.lie_bracket(env.embedding[i], env.embedding[j])
-            if nf(got_b - want_b):
-                emb_ok, witness = False, f"[e{i + 1}, e{j + 1}]"
-                break
-        if not emb_ok:
-            break
-    rep.record("embedding preserves the multiplication table", emb_ok, witness)
+    def table_failures():
+        emb = env.embedding
+        for i, j in product(range(t.dim), repeat=2):
+            if nf(env.circ(emb[i], emb[j]) - _image_of(t.circ[i][j], emb)):
+                yield f"e{i + 1} o e{j + 1}"
+            if nf(env.lie_bracket(emb[i], emb[j])
+                  - _image_of(t.bracket[i][j], emb)):
+                yield f"[e{i + 1}, e{j + 1}]"
+
+    bad = next(table_failures(), "")
+    rep.record("embedding preserves the multiplication table", not bad, bad)
 
     # images linearly independent modulo the ideal
     pivots: dict = {}
@@ -530,97 +493,53 @@ def case3_table() -> GDTable:
                    bracket={(0, 1): (0, 1), (1, 0): (0, -1)})
 
 
-def bracket1_check(alpha: Fraction, gamma: Fraction, max_order: int) -> bool:
-    """The case-1 bracket on the free differential commutative algebra:
-    {u^(m), v^(n)} = ((n-1) u^(m+1) v^(n) - (m-1) u^(m) v^(n+1)) / (gamma-alpha),
-    extended by the Leibniz rule.  Checks antisymmetry, the Jacobi identity
-    and derivation compatibility on all generators of order <= max_order.
+def case1_envelope(alpha: Fraction, gamma: Fraction, cap: int) -> EnvelopeSpec:
+    """The case-1 bracket on the free differential commutative algebra on
+    u, v and their derivatives up to order ``cap``:
+    {a^(m), b^(n)} = ((n-1) a^(m+1) b^(n) - (m-1) a^(m) b^(n+1)) / (gamma-alpha)
+    for letters a, b, and d(a^(m)) = a^(m+1).  A bracket or derivative
+    that needs order cap + 1 is left out, so using it raises GDModelError.
     """
     alpha, gamma = Fraction(alpha), Fraction(gamma)
     if alpha == gamma:
         raise GDModelError("case 1 requires gamma != alpha")
     c = Fraction(1) / (gamma - alpha)
-    cap = max_order + 2  # brackets raise orders by at most two
+    gens = tuple((letter, m) for letter in "uv" for m in range(cap + 1))
+    bracket = {}
+    for (a, m), (b, n) in product(gens, repeat=2):
+        if (n != 1 and m == cap) or (m != 1 and n == cap):
+            continue
+        bracket[((a, m), (b, n))] = (
+            Poly({mono(((a, m + 1), 1), ((b, n), 1)): c * (n - 1)})
+            - Poly({mono(((a, m), 1), ((b, n + 1), 1)): c * (m - 1)}))
+    derivation = {(a, m): Poly.var((a, m + 1)) for a, m in gens if m < cap}
+    return EnvelopeSpec(gens, (), bracket, derivation,
+                        name=f"case1 (derivative orders <= {cap})")
 
-    def gen(letter: str, m: int):
-        return (letter, m)
 
-    letters = ("u", "v")
-    gens = [gen(l, m) for l in letters for m in range(cap + 1)]
+def bracket1_check(alpha: Fraction, gamma: Fraction, max_order: int) -> bool:
+    """Check the case-1 bracket (:func:`case1_envelope`) for antisymmetry,
+    the Jacobi identity and derivation compatibility on all generators of
+    order <= max_order.
+    """
+    # brackets raise derivative orders by at most two
+    env = case1_envelope(alpha, gamma, max_order + 2)
+    low = [g for g in env.generators if g[1] <= max_order]
+    if any(env.pair_bracket(a, b) + env.pair_bracket(b, a)
+           for a, b in product(low, repeat=2)):
+        return False
 
-    from .commutative import mono as _mono
+    def exact(p: Poly) -> Poly:  # the free algebra has no relations
+        return p
 
-    def pair_bracket(a, b) -> Poly:
-        (la, m), (lb, n) = a, b
-        out = ZERO
-        if n != 1:
-            if m + 1 > cap:
-                raise GDModelError("derivative order cap exceeded")
-            out = out + Poly({_mono((gen(la, m + 1), 1), (gen(lb, n), 1)):
-                              c * (n - 1)})
-        if m != 1:
-            if n + 1 > cap:
-                raise GDModelError("derivative order cap exceeded")
-            out = out - Poly({_mono((gen(la, m), 1), (gen(lb, n + 1), 1)):
-                              c * (m - 1)})
-        return out
-
-    def bracket(f: Poly, g: Poly) -> Poly:
-        acc = ZERO
-        for ga in gens:
-            df = f.diff(ga)
-            if df.is_zero():
-                continue
-            for gb in gens:
-                dg = g.diff(gb)
-                if dg.is_zero():
-                    continue
-                acc = acc + df * dg * pair_bracket(ga, gb)
-        return acc
-
-    def d(f: Poly) -> Poly:
-        acc = ZERO
-        for (l, m) in gens:
-            df = f.diff((l, m))
-            if not df.is_zero():
-                if m + 1 > cap:
-                    raise GDModelError("derivative order cap exceeded")
-                acc = acc + df * Poly.var((l, m + 1))
-        return acc
-
-    low = [gen(l, m) for l in letters for m in range(max_order + 1)]
-    # antisymmetry on generators
-    for a in low:
-        for b in low:
-            if not (pair_bracket(a, b) + pair_bracket(b, a)).is_zero():
-                return False
-    # Jacobi on generator triples
-    for a in low:
-        pa = Poly.var(a)
-        for b in low:
-            pb = Poly.var(b)
-            for cc in low:
-                pc = Poly.var(cc)
-                jac = (bracket(pa, bracket(pb, pc))
-                       + bracket(pb, bracket(pc, pa))
-                       + bracket(pc, bracket(pa, pb)))
-                if not jac.is_zero():
-                    return False
-    # d a derivation of the bracket on generator pairs
-    for a in low:
-        pa = Poly.var(a)
-        for b in low:
-            pb = Poly.var(b)
-            lhs = d(bracket(pa, pb))
-            rhs = bracket(d(pa), pb) + bracket(pa, d(pb))
-            if not (lhs - rhs).is_zero():
-                return False
-    return True
+    return not (_jacobi_failure(env, low, exact) or _derivation_failure(
+        env, [Poly.var(g) for g in low], exact))
 
 
 def case1_check(cls: Classification, max_order: int = 3) -> bool:
-    """Case-1 verification: the commutator identity on the table plus the
-    bracket construction closing at the requested derivative order."""
+    """Case-1 verification of a classified table: :func:`bracket1_check`
+    on its (alpha, gamma), i.e. the case-1 bracket construction closes at
+    the requested derivative order."""
     if cls.case != "case1":
         raise GDModelError("not a case-1 classification")
     return bracket1_check(cls.alpha, cls.gamma, max_order)

@@ -202,22 +202,23 @@ class GroebnerBasis:
                 f"max_arity={self.max_arity}, rules={self.rule_counts()})")
 
 
-def reduce_element(f: OperadElement, basis: GroebnerBasis) -> OperadElement:
-    """Normal form of ``f`` modulo the completed basis."""
+def _reducer_for(f: OperadElement, basis: GroebnerBasis) -> _Reducer:
     if f.arity > basis.max_arity:
         raise BudgetExceededError(
             f"element arity {f.arity} exceeds completed range {basis.max_arity}")
-    return basis.reducer.nf_element(f)
+    return basis.reducer
+
+
+def reduce_element(f: OperadElement, basis: GroebnerBasis) -> OperadElement:
+    """Normal form of ``f`` modulo the completed basis."""
+    return _reducer_for(f, basis).nf_element(f)
 
 
 def reduce_random(f: OperadElement, basis: GroebnerBasis, rng) -> OperadElement:
     """Normal form computed with a randomized strategy (random reducible
     monomial, random applicable rule and position); used to check the
     Church-Rosser property of completed bases."""
-    if f.arity > basis.max_arity:
-        raise BudgetExceededError(
-            f"element arity {f.arity} exceeds completed range {basis.max_arity}")
-    reducer = basis.reducer
+    reducer = _reducer_for(f, basis)
     terms = dict(f.terms)
     while True:
         reducible = [m for m in terms if reducer.find_divisor(m) is not None]
@@ -233,20 +234,18 @@ def reduce_random(f: OperadElement, basis: GroebnerBasis, rng) -> OperadElement:
 # overlaps, S-polynomials and stratum elimination
 # ---------------------------------------------------------------------------
 
-def overlaps(rules: Sequence[RewriteRule], K: int,
-             gens: Sequence[GeneratorSymbol], order: TreeOrder):
-    """Every minimal common multiple of arity exactly K of two rule leads,
-    as ``(m, r1, occ1, r2, occ2)``: the two occurrences share a vertex and
-    jointly cover ``m``.
+def overlaps(reducer: _Reducer, K: int, gens: Sequence[GeneratorSymbol]):
+    """Every minimal common multiple of arity exactly K of two rule leads
+    of ``reducer``, as ``(m, r1, occ1, r2, occ2)``: the two occurrences
+    share a vertex and jointly cover ``m``.
 
     One of the two occurrences always sits at the root, so extending each
     lead of arity below K and scanning for the other occurrence is
     exhaustive.  A lead of arity K is never extended; for an interreduced
     rule set it could only overlap a lead that divides it.
     """
-    reducer = _Reducer(rules, order)
     seen: set = set()
-    for r1 in rules:
+    for r1 in reducer.rules:
         if r1.arity >= K:
             continue
         for m, occ1 in extensions(r1.lead, K, gens):
@@ -271,10 +270,10 @@ def _spoly(m: Tree, r1: RewriteRule, o1: Occurrence, r2: RewriteRule,
     return graft_at(m, o1, r1.tail) - graft_at(m, o2, r2.tail)
 
 
-def _stratum_spolys(rules: Sequence[RewriteRule], K: int,
-                    gens: Sequence[GeneratorSymbol], order: TreeOrder):
-    """All S-polynomials at arity exactly K among the given rules."""
-    for overlap in overlaps(rules, K, gens, order):
+def _stratum_spolys(reducer: _Reducer, K: int,
+                    gens: Sequence[GeneratorSymbol]):
+    """All S-polynomials at arity exactly K among the reducer's rules."""
+    for overlap in overlaps(reducer, K, gens):
         yield _spoly(*overlap)
 
 
@@ -321,7 +320,7 @@ def buchberger(p: Presentation, max_arity: int, order_id: str = "pathlex",
                 vec = reducer.nf_terms(rel.terms)
                 if vec:
                     yield vec
-            for spoly in _stratum_spolys(rules, K, p.generators, order):
+            for spoly in _stratum_spolys(reducer, K, p.generators):
                 if spoly.is_zero():
                     continue
                 vec = reducer.nf_terms(spoly.terms)

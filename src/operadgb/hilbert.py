@@ -11,17 +11,9 @@ where enumerate-and-filter over all monomials is not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .groebner import BudgetExceededError, GroebnerBasis
-from .trees import (
-    Tree,
-    compositions,
-    leaf,
-    min_increasing_blocks,
-    node,
-    relabel_ordered,
-)
+from .trees import Tree, leaf, node, shuffle_graftings
 
 
 @dataclass(frozen=True)
@@ -53,30 +45,16 @@ class NormalMonomials:
         return next(self.basis.reducer.occurrences_at(t, ()), None) is not None
 
     def level(self, n: int) -> tuple[Tree, ...]:
-        if n < 1:
-            raise BudgetExceededError("arity must be >= 1")
-        if n > self.basis.max_arity and n > 1:
-            raise BudgetExceededError(
-                f"arity {n} out of completed range {self.basis.max_arity}")
         cached = self._levels.get(n)
         if cached is not None:
             return cached
-        out: list[Tree] = []
-        labels = tuple(range(1, n + 1))
-        for g in self.basis.generators:
-            if g.arity > n or g.arity < 2:
-                continue
-            for comp in compositions(n, g.arity):
-                for blocks in min_increasing_blocks(labels, comp):
-                    child_choices = [
-                        [relabel_ordered(t, b) for t in self.level(len(b))]
-                        for b in blocks
-                    ]
-                    for kids in product(*child_choices):
-                        cand = node(g.name, kids)
-                        if not self._root_reducible(cand):
-                            out.append(cand)
-        result = tuple(out)
+        if n < 1:
+            raise BudgetExceededError("arity must be >= 1")
+        _check_completed(self.basis, n)
+        result = tuple(
+            cand for g in self.basis.generators if 2 <= g.arity <= n
+            for kids in shuffle_graftings(n, g.arity, self.level)
+            if not self._root_reducible(cand := node(g.name, kids)))
         self._levels[n] = result
         return result
 
@@ -92,27 +70,26 @@ def _enumerator(basis: GroebnerBasis) -> NormalMonomials:
     return enum
 
 
+def _check_completed(basis: GroebnerBasis, n: int,
+                     message: str = "arity {n} out of completed range {top}",
+                     ) -> None:
+    if n > basis.max_arity:
+        raise BudgetExceededError(message.format(n=n, top=basis.max_arity))
+
+
 def count_normal_monomials(basis: GroebnerBasis, n: int) -> int:
     """Number of arity-n monomials with no divisor among the rule leads;
     equals the dimension of the operad component at arity n."""
-    if n > basis.max_arity:
-        raise BudgetExceededError(
-            f"arity {n} out of completed range {basis.max_arity}")
     return _enumerator(basis).count(n)
 
 
 def normal_monomials(basis: GroebnerBasis, n: int) -> tuple[Tree, ...]:
     """The normal monomials themselves (the quotient's monomial basis)."""
-    if n > basis.max_arity:
-        raise BudgetExceededError(
-            f"arity {n} out of completed range {basis.max_arity}")
     return _enumerator(basis).level(n)
 
 
 def emit_table(basis: GroebnerBasis, up_to: int) -> DimensionTable:
-    if up_to > basis.max_arity:
-        raise BudgetExceededError(
-            f"table up to arity {up_to} exceeds completed range "
-            f"{basis.max_arity}")
+    _check_completed(basis, up_to,
+                     "table up to arity {n} exceeds completed range {top}")
     entries = {n: count_normal_monomials(basis, n) for n in range(1, up_to + 1)}
     return DimensionTable(entries, basis.presentation_name, basis.order_id)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
-from .elements import OperadElement, element_from_terms
+from .elements import OperadElement, add_term, element_from_terms
 from .syntax import ParseError, parse_element
 from .trees import GeneratorSymbol, Tree, TreeError, TreeOrder, leaf, node, order_for
 
@@ -147,11 +147,7 @@ def permute_element(e: OperadElement, perm: dict[int, int],
     for t, c in e.terms.items():
         term = _permute_term(shuffle_to_symmetric_term(t, action), perm)
         sign, tree = convert_term(term, action)
-        s = acc.get(tree, Fraction(0)) + c * sign
-        if s:
-            acc[tree] = s
-        else:
-            acc.pop(tree, None)
+        add_term(acc, tree, c * sign)
     return OperadElement(acc, e.arity)
 
 
@@ -230,6 +226,12 @@ class Presentation:
 
 
 # -- defining identities -----------------------------------------------------
+
+# Antisymmetry: [a,b] + [b,a] = 0.  The shuffle alphabet builds it in (one
+# bracket generator), but a structure-constant table has to be checked for it.
+ANTISYMMETRY = SymmetricRelation.of("bracket-antisymmetry", 2, [
+    (1, B(1, 2)), (1, B(2, 1)),
+])
 
 # Left symmetry: (a o b) o c - a o (b o c) = (b o a) o c - b o (a o c)
 LEFT_SYMMETRY = SymmetricRelation.of("left-symmetry", 3, [

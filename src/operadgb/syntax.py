@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from .elements import OperadElement
+from .elements import OperadElement, add_term
 from .trees import GeneratorSymbol, Tree, TreeError, TreeOrder, is_complete, leaf, node
 
 
@@ -164,7 +164,7 @@ def parse_element(text: str, gens: Sequence[GeneratorSymbol],
         elif t.arity != arity:
             raise tokens.error(
                 f"mixed arities in element: {arity} and {t.arity}")
-        acc[t] = acc.get(t, Fraction(0)) + coeff
+        add_term(acc, t, coeff)
         sign = Fraction(1)
         first = False
     if arity is None:

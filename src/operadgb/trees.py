@@ -17,8 +17,8 @@ synchronized, so they are not safe to build from several threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Iterator, Sequence
+from itertools import chain, combinations, product
+from typing import Callable, Iterator, Sequence
 
 
 class TreeError(ValueError):
@@ -484,6 +484,21 @@ def _gens_sig(gens: Sequence[GeneratorSymbol]) -> tuple:
     return tuple((g.name, g.arity) for g in gens)
 
 
+def shuffle_graftings(n: int, k: int, level: Callable[[int], Sequence[Tree]],
+                      ) -> Iterator[tuple[Tree, ...]]:
+    """Every ``k``-tuple of trees on the labels 1..n in shuffle position:
+    for each composition of n into k parts and each partition into blocks
+    of those sizes with increasing minima, the product of ``level(size)``
+    relabelled onto the blocks.  These are the children of an arity-k
+    vertex, or the slots of an arity-k pattern, over arity n."""
+    labels = tuple(range(1, n + 1))
+    return chain.from_iterable(
+        product(*([relabel_ordered(t, b) for t in level(len(b))]
+                  for b in blocks))
+        for comp in compositions(n, k)
+        for blocks in min_increasing_blocks(labels, comp))
+
+
 def all_trees(gens: Sequence[GeneratorSymbol], n: int) -> tuple[Tree, ...]:
     """All shuffle tree monomials of arity ``n`` over the given generators,
     with leaves labelled 1..n.  Cached per (generators, n)."""
@@ -500,20 +515,10 @@ def all_trees(gens: Sequence[GeneratorSymbol], n: int) -> tuple[Tree, ...]:
     if n == 1:
         result: tuple[Tree, ...] = (leaf(1),)
     else:
-        out: list[Tree] = []
-        labels = tuple(range(1, n + 1))
-        for g in gens:
-            if g.arity > n:
-                continue
-            for comp in compositions(n, g.arity):
-                for blocks in min_increasing_blocks(labels, comp):
-                    child_choices = [
-                        [relabel_ordered(t, b) for t in all_trees(gens, len(b))]
-                        for b in blocks
-                    ]
-                    for kids in product(*child_choices):
-                        out.append(node(g.name, kids))
-        result = tuple(out)
+        result = tuple(
+            node(g.name, kids) for g in gens if g.arity <= n
+            for kids in shuffle_graftings(n, g.arity,
+                                          lambda m: all_trees(gens, m)))
     _ALL_TREES[key] = result
     return result
 
@@ -522,21 +527,11 @@ def extensions(t: Tree, target_arity: int,
                gens: Sequence[GeneratorSymbol]) -> list[tuple[Tree, Occurrence]]:
     """All monomials of the target arity divisible by ``t`` at the root,
     together with that root occurrence."""
-    k = t.arity
-    if target_arity < k:
-        return []
     out: list[tuple[Tree, Occurrence]] = []
-    pat_leaves = t.leaves
-    for comp in compositions(target_arity, k):
-        for blocks in min_increasing_blocks(range(1, target_arity + 1), comp):
-            slot_choices = [
-                [relabel_ordered(s, b) for s in all_trees(gens, len(b))]
-                for b in blocks
-            ]
-            for slots in product(*slot_choices):
-                assignment = dict(zip(pat_leaves, slots))
-                m = substitute(t, assignment)
-                occ = occurrence_at(t, m, ())
-                assert occ is not None
-                out.append((m, occ))
+    for slots in shuffle_graftings(target_arity, t.arity,
+                                   lambda m: all_trees(gens, m)):
+        m = substitute(t, dict(zip(t.leaves, slots)))
+        occ = occurrence_at(t, m, ())
+        assert occ is not None
+        out.append((m, occ))
     return out

@@ -21,7 +21,7 @@ from operadgb.diffpoisson import (
 )
 from operadgb.elements import OperadElement
 from operadgb.gdmodels import (
-    EmbeddingReport,
+    CheckReport,
     case1_check,
     case2_envelope,
     case2_table,
@@ -212,14 +212,14 @@ def test_criterion_7_theorem2_verification():
     t2 = case2_table(3)
     assert check_gd_axioms(t2).passed
     assert classify_2dim(t2).case == "case2"
-    rep2 = EmbeddingReport()
+    rep2 = CheckReport()
     assert verify_embedding(t2, case2_envelope(3), 6, rep2)
     # case 3 with the eight-relation Groebner basis, including the
     # derivation-bracket compatibility on normal monomials up to degree 6
     t3 = case3_table()
     assert check_gd_axioms(t3).passed
     assert classify_2dim(t3).case == "case3"
-    rep3 = EmbeddingReport()
+    rep3 = CheckReport()
     assert verify_embedding(t3, case3_envelope(), 6, rep3)
     assert any("degree <= 6" in name for name, _ok, _w in rep3.checks)
     # case 1 via the bracket construction closing at derivative order 3

@@ -1,3 +1,5 @@
+import pytest
+
 from operadgb.cli import main
 from operadgb.gdmodels import case3_table
 
@@ -138,3 +140,78 @@ def test_check_gd_case1(tmp_path, capsys):
     code, out, _ = run(["check-gd", str(path)], capsys)
     assert code == 0
     assert "case1" in out and "verified" in out
+
+
+# check-gd stdout and exit code, recorded before the axiom checks were
+# rewritten over the presentation's identities
+AXIOMS_PASS = """\
+PASS  bracket-antisymmetry
+PASS  left-symmetry
+PASS  right-commutativity
+PASS  jacobi
+PASS  compatibility
+"""
+
+EMBEDDING_VERIFIED = """\
+PASS  relations form a commutative Groebner basis
+PASS  ideal closed under the bracket
+PASS  ideal closed under the derivation
+PASS  jacobi identity
+PASS  derivation compatible with bracket (degree <= 6)
+PASS  embedding preserves the multiplication table
+PASS  images linearly independent
+embedding verified
+"""
+
+CHECK_GD_GOLDEN = {
+    "case1": (
+        "dim 2\ncirc 1 1 = 1 0\ncirc 1 2 = 0 2\ncirc 2 1 = 0 1\n"
+        "bracket 1 2 = 0 1\n",
+        0,
+        AXIOMS_PASS
+        + "classification: case1(alpha=1, gamma=2, delta=0)\n"
+          "case-1 bracket construction verified (Jacobi and derivation "
+          "compatibility close at derivative order 3)\n"),
+    "case2": (
+        "dim 2\ncirc 1 1 = 1 0\ncirc 1 2 = 0 1\ncirc 2 1 = 0 1\n"
+        "bracket 1 2 = 0 1/2\nbracket 2 1 = 0 -1/2\n",
+        0,
+        AXIOMS_PASS
+        + "classification: case2(alpha=2, gamma=2, delta=0)\n"
+        + EMBEDDING_VERIFIED),
+    "case3": (
+        "dim 2\ncirc 1 1 = 0 1\nbracket 1 2 = 0 1\nbracket 2 1 = 0 -1\n",
+        0,
+        AXIOMS_PASS
+        + "classification: case3(alpha=0, gamma=0, delta=1)\n"
+        + EMBEDDING_VERIFIED),
+    "novikov": (
+        "dim 2\ncirc 1 1 = 1 0\ncirc 1 2 = 0 1\ncirc 2 1 = 0 1\n",
+        0,
+        AXIOMS_PASS
+        + "classification: novikov\n"
+          "pure Novikov algebra: embeds in its differential commutative "
+          "envelope with the trivial bracket\n"),
+    "lie-only": (
+        "dim 2\nbracket 1 2 = 0 1\n",
+        0,
+        AXIOMS_PASS
+        + "classification: lie-only(alpha=0, gamma=0, delta=0)\n"
+          "pure Lie algebra: embeds in the graded Poisson algebra of its "
+          "associative envelope with the zero derivation\n"),
+    "axiom-failure": (
+        "dim 2\ncirc 1 1 = 1 0\nbracket 1 2 = 0 1\n",
+        3,
+        AXIOMS_PASS.replace("PASS  compatibility\n",
+                            "FAIL  compatibility  (witness (e1,e1,e2))\n")
+        + "axioms fail; no classification\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_GD_GOLDEN))
+def test_check_gd_golden(name, tmp_path, capsys):
+    table, want_code, want_out = CHECK_GD_GOLDEN[name]
+    path = tmp_path / f"{name}.gd"
+    path.write_text(table)
+    code, out, _ = run(["check-gd", str(path)], capsys)
+    assert (code, out) == (want_code, want_out)

@@ -14,11 +14,12 @@ from operadgb.commutative import (
     reduce_poly,
 )
 from operadgb.gdmodels import (
-    EmbeddingReport,
+    CheckReport,
     GDModelError,
     GDTable,
     bracket1_check,
     case1_check,
+    case1_envelope,
     case2_envelope,
     case2_table,
     case3_envelope,
@@ -45,9 +46,38 @@ def test_axiom_failure_has_witness():
                 bracket={(0, 1): (0, 1), (1, 0): (0, -1)})
     rep = check_gd_axioms(t)
     assert not rep.passed
-    failures = {name: w for name, ok, w in rep.results if not ok}
+    failures = {name: w for name, ok, w in rep.checks if not ok}
     assert "compatibility" in failures
     assert failures["compatibility"] == "(e1,e1,e2)"
+
+
+AXIOM_NAMES = ("bracket-antisymmetry", "left-symmetry", "right-commutativity",
+               "jacobi", "compatibility")
+
+# one table per axiom that fails it alone, with the witness recorded before
+# the axioms were evaluated from the presentation's identities
+SINGLE_FAILURES = {
+    "bracket-antisymmetry": (GDTable(2, bracket={(1, 1): (1, 0)}),
+                             "(e2,e2)"),
+    "left-symmetry": (GDTable(2, circ={(0, 1): (2, 0)}), "(e1,e2,e2)"),
+    "right-commutativity": (GDTable(2, circ={(0, 0): (1, 2), (0, 1): (0, 1)}),
+                            "(e1,e1,e2)"),
+    "jacobi": (GDTable(3, bracket={(0, 1): (0, 1, 0), (1, 0): (0, -1, 0),
+                                   (0, 2): (0, 0, 1), (2, 0): (0, 0, -1),
+                                   (1, 2): (1, 0, 0), (2, 1): (-1, 0, 0)}),
+               "(e1,e2,e3)"),
+    "compatibility": (GDTable(2, circ={(1, 1): (0, 2)},
+                              bracket={(0, 1): (1, 0), (1, 0): (-1, 0)}),
+                      "(e1,e2,e2)"),
+}
+
+
+@pytest.mark.parametrize("failing", AXIOM_NAMES)
+def test_each_axiom_fails_alone_with_its_witness(failing):
+    table, witness = SINGLE_FAILURES[failing]
+    assert check_gd_axioms(table).checks == [
+        (name, name != failing, witness if name == failing else "")
+        for name in AXIOM_NAMES]
 
 
 def test_spec_candidate_table_is_actually_case1():
@@ -92,7 +122,7 @@ def test_axiom_checker_against_direct_evaluation():
                     bracket={(0, 1): (rng.randint(-1, 1), rng.randint(-1, 1))})
         t.bracket[1][0] = tuple(-c for c in t.bracket[0][1])
         rep = check_gd_axioms(t)
-        compat_ok = [ok for n, ok, _ in rep.results if n == "compatibility"][0]
+        compat_ok = [ok for n, ok, _ in rep.checks if n == "compatibility"][0]
         assert compat_ok == brute_axiom_check(t)
 
 
@@ -143,7 +173,7 @@ def test_case2_printed_derivation_variant_fails():
     t = case2_table(3)
     env = case2_envelope(3)
     env.derivation["e"] = Poly.var("e").scale(Fraction(1, 3))
-    rep = EmbeddingReport()
+    rep = CheckReport()
     assert not verify_embedding(t, env, 6, rep)
     failing = [n for n, ok, _ in rep.checks if not ok]
     assert failing == ["embedding preserves the multiplication table"]
@@ -151,7 +181,7 @@ def test_case2_printed_derivation_variant_fails():
 
 def test_case3_embedding_with_derivation_compat_to_degree6():
     t = case3_table()
-    rep = EmbeddingReport()
+    rep = CheckReport()
     assert verify_embedding(t, case3_envelope(), 6, rep)
     names = [n for n, _ok, _w in rep.checks]
     assert any("degree <= 6" in n for n in names)
@@ -185,10 +215,13 @@ def test_case3_derivation_closed_form():
 def test_corrupted_case3_bracket_detected():
     env = case3_envelope()
     env.bracket[("u", "v'")] = Poly.var("v'")  # should be 2v'
-    rep = EmbeddingReport()
+    rep = CheckReport()
     assert not verify_embedding(case3_table(), env, 6, rep)
     failing = {n for n, ok, _ in rep.checks if not ok}
     assert failing  # jacobi or compatibility or table preservation breaks
+    # the witness is the first failing generator triple in scan order
+    witnesses = {n: w for n, ok, w in rep.checks if not ok}
+    assert witnesses["jacobi identity"] == "(u,v,u')"
 
 
 def test_bracket1_check():
@@ -199,15 +232,43 @@ def test_bracket1_check():
 
 
 def test_bracket1_proportionality():
-    """The bracket for any (alpha, gamma) is 1/(gamma-alpha) times the
-    gamma - alpha = 1 case on generators."""
-    from operadgb.gdmodels import Fraction as F
-    # compare {u', v''} coefficients directly through the defining formula
-    def formula(c, m, n):
-        return {("first", m + 1, n): c * (n - 1), ("second", m, n + 1): -c * (m - 1)}
-    base = formula(Fraction(1), 1, 2)
-    scaled = formula(Fraction(1, 7), 1, 2)
-    assert scaled == {k: v / 7 for k, v in base.items()}
+    """The case-1 bracket for any (alpha, gamma) is 1/(gamma-alpha) times
+    the bracket for (0, 1), on generators and on products."""
+    base = case1_envelope(0, 1, 4)
+    u1, v2 = Poly.var(("u", 1)), Poly.var(("v", 2))
+    f, g = u1 * Poly.var(("v", 0)), v2 * v2 + u1
+    assert not base.pair_bracket(("u", 1), ("v", 2)).is_zero()
+    for alpha, gamma in ((1, 2), (3, -4), (Fraction(1, 2), Fraction(-2, 3))):
+        env = case1_envelope(alpha, gamma, 4)
+        c = 1 / (Fraction(gamma) - Fraction(alpha))
+        assert env.generators == base.generators
+        for a in env.generators:
+            for b in env.generators:
+                if (a, b) in base.bracket:
+                    assert env.pair_bracket(a, b) == \
+                        base.pair_bracket(a, b).scale(c)
+        assert env.lie_bracket(f, g) == base.lie_bracket(f, g).scale(c)
+        assert env.d(f) == base.d(f)
+
+
+def test_case1_envelope_raises_past_the_derivative_cap():
+    """A bracket or derivative that needs order cap + 1 raises instead of
+    reading as zero; the brackets that stay within the cap do not."""
+    env = case1_envelope(1, 2, 3)
+    top_u, top_v = Poly.var(("u", 3)), Poly.var(("v", 3))
+    with pytest.raises(GDModelError):
+        env.d(top_u)
+    with pytest.raises(GDModelError):
+        env.d(top_u * Poly.var(("v", 0)))
+    with pytest.raises(GDModelError):
+        env.lie_bracket(top_u, Poly.var(("v", 0)))  # needs u^(4)
+    with pytest.raises(GDModelError):
+        env.lie_bracket(Poly.var(("u", 0)), top_v)  # needs v^(4)
+    # {u^(3), v'} = -2 u^(3) v'' / (gamma - alpha) needs no order above 3
+    assert env.lie_bracket(top_u, Poly.var(("v", 1))) == \
+        (top_u * Poly.var(("v", 2))).scale(-2)
+    assert env.d(Poly.var(("u", 2))) == top_u
+    assert env.lie_bracket(top_u, top_u).is_zero()
 
 
 def test_case1_check_for_classified_table():

@@ -62,8 +62,8 @@ def s_polynomials(r1, r2, max_arity, basis):
     rules = [r1] if r1 is r2 else [r1, r2]
     out = []
     for K in range(max(r1.arity, r2.arity), max_arity + 1):
-        for m, a, o1, b, o2 in overlaps(rules, K, basis.generators,
-                                        basis.order):
+        for m, a, o1, b, o2 in overlaps(_Reducer(rules, basis.order), K,
+                                        basis.generators):
             if {a.rid, b.rid} == {r1.rid, r2.rid}:
                 out.append(_spoly(m, a, o1, b, o2))
     return out
@@ -265,7 +265,7 @@ def test_echelon_independent_of_input_order(gd4):
     rules3 = [r for r in gd4.rules if r.arity == 3]
     reducer = _Reducer(rules3, order)
     vectors = [reducer.nf_terms(s.terms)
-               for s in _stratum_spolys(rules3, 4, gd4.generators, order)]
+               for s in _stratum_spolys(reducer, 4, gd4.generators)]
     vectors = [v for v in vectors if v]
     pivots = _echelon(vectors, order)
     assert set(pivots) == {r.lead for r in gd4.rules if r.arity == 4}

@@ -11,7 +11,8 @@ from operadgb.groebner import _Reducer, buchberger
 from operadgb.presentation import builtin_presentations
 from operadgb.trees import all_trees, iter_positions, order_for, subtree_at
 
-TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACED = PERFBENCH / "traced.py"
 
 
 def traced_targets():
@@ -34,6 +35,23 @@ def test_traced_targets_resolve():
         assert callable(owner), f"operadgb.{mod_name}.{path}"
         if kind == "gen":
             assert inspect.isgeneratorfunction(owner), f"{mod_name}.{path}"
+
+
+def test_benchmark_imports_resolve():
+    """Every name the benchmark's input generator and output checks import
+    from the package exists, so removing one fails here and not in set-up."""
+    seen = 0
+    for script in ("gen_inputs.py", "checks.py"):
+        tree = ast.parse((PERFBENCH / script).read_text(encoding="utf-8"))
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, ast.ImportFrom) and stmt.module and \
+                    stmt.module.split(".")[0] == "operadgb":
+                owner = importlib.import_module(stmt.module)
+                for alias in stmt.names:
+                    assert hasattr(owner, alias.name), \
+                        f"{script}: {stmt.module}.{alias.name}"
+                    seen += 1
+    assert seen
 
 
 def test_reducer_keeps_the_memo_the_tracer_reads():

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from operadgb.elements import OperadElement
-from operadgb.groebner import RewriteRule, overlaps
+from operadgb.groebner import RewriteRule, _Reducer, overlaps
 from operadgb.trees import (
     GeneratorSymbol,
     TreeError,
@@ -141,7 +141,7 @@ def common_multiples(t1, t2, max_arity, gens):
     rules = [r1] if r2 is r1 else [r1, r2]
     found = []
     for n in range(max(t1.arity, t2.arity), max_arity + 1):
-        for m, a, _o1, b, _o2 in overlaps(rules, n, gens, ORDER):
+        for m, a, _o1, b, _o2 in overlaps(_Reducer(rules, ORDER), n, gens):
             if {a.rid, b.rid} == {r1.rid, r2.rid} and m not in found:
                 found.append(m)
     return found
