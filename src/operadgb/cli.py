@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .diffpoisson import (
     RewriteContext,
@@ -66,93 +65,77 @@ EXIT_BUDGET = 2
 EXIT_NONZERO = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    preset: str | None = None
-    input_path: str | None = None
-    basis_path: str | None = None
-    output_path: str | None = None
-    max_arity: int = CI_ARITY_BUDGET
-    degree: int = 4
-    order_id: str = "pathlex"
-    modulo: str = "gd"
-    identity: str | None = None
-    emit_trace: bool = False
-    extended: bool = False
-
-
-def _load_presentation(cfg: RunConfig):
-    if cfg.preset:
+def _load_presentation(args: argparse.Namespace):
+    if args.preset:
         builtins = builtin_presentations()
-        if cfg.preset not in builtins:
-            raise ParseError(f"unknown preset {cfg.preset!r}; "
+        if args.preset not in builtins:
+            raise ParseError(f"unknown preset {args.preset!r}; "
                              f"known: {sorted(builtins)}", 0, 0)
-        return builtins[cfg.preset]
-    if not cfg.input_path:
+        return builtins[args.preset]
+    if not args.input_path:
         raise ParseError("need --preset or --input", 0, 0)
-    with open(cfg.input_path, encoding="utf-8") as fh:
+    with open(args.input_path, encoding="utf-8") as fh:
         return parse_presentation(fh.read())
 
 
-def cmd_gb(cfg: RunConfig, out=None) -> int:
+def cmd_gb(args: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
-    p = _load_presentation(cfg)
-    if cfg.max_arity < p.max_relation_arity:
+    p = _load_presentation(args)
+    if args.max_arity < p.max_relation_arity:
         raise BudgetExceededError(
-            f"--max-arity {cfg.max_arity} below relation arity "
+            f"--max-arity {args.max_arity} below relation arity "
             f"{p.max_relation_arity}")
-    if cfg.max_arity > CI_ARITY_BUDGET and not cfg.extended:
+    if args.max_arity > CI_ARITY_BUDGET and not args.extended:
         raise BudgetExceededError(
-            f"arity {cfg.max_arity} exceeds the default budget "
+            f"arity {args.max_arity} exceeds the default budget "
             f"{CI_ARITY_BUDGET}; pass --extended to allow it")
-    basis = buchberger(p, cfg.max_arity, cfg.order_id,
+    basis = buchberger(p, args.max_arity, args.order_id,
                        progress=lambda msg: print(msg, file=out))
-    print(f"completed {p.name} up to arity {cfg.max_arity} "
-          f"under order {cfg.order_id}", file=out)
+    print(f"completed {p.name} up to arity {args.max_arity} "
+          f"under order {args.order_id}", file=out)
     for arity, count in sorted(basis.rule_counts().items()):
         print(f"  arity {arity}: {count} rules", file=out)
-    if cfg.output_path:
-        save_basis(basis, cfg.output_path)
-        print(f"basis written to {cfg.output_path}", file=out)
+    if args.output_path:
+        save_basis(basis, args.output_path)
+        print(f"basis written to {args.output_path}", file=out)
     return EXIT_OK
 
 
-def cmd_dims(cfg: RunConfig, out=None) -> int:
+def cmd_dims(args: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
-    basis = load_basis(cfg.basis_path)
-    up_to = cfg.max_arity if cfg.max_arity else basis.max_arity
+    basis = load_basis(args.basis_path)
+    up_to = args.max_arity if args.max_arity else basis.max_arity
     up_to = min(up_to, basis.max_arity)
     table = emit_table(basis, up_to)
     print(table.as_text(), file=out)
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
+    if args.output_path:
+        with open(args.output_path, "w", encoding="utf-8") as fh:
             fh.write(table.as_rows() + "\n")
-        print(f"rows written to {cfg.output_path}", file=out)
+        print(f"rows written to {args.output_path}", file=out)
     return EXIT_OK
 
 
-def cmd_reduce(cfg: RunConfig, out=None) -> int:
+def cmd_reduce(args: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
-    basis = load_basis(cfg.basis_path)
-    if cfg.order_id and cfg.order_id != basis.order_id:
+    basis = load_basis(args.basis_path)
+    if args.order_id and args.order_id != basis.order_id:
         raise OrderMismatchError(
             f"basis was computed under order {basis.order_id!r}, "
-            f"refusing a reduction tagged {cfg.order_id!r}")
-    if cfg.identity:
-        if cfg.identity not in NAMED_IDENTITIES:
-            raise ParseError(f"unknown identity {cfg.identity!r}; known: "
+            f"refusing a reduction tagged {args.order_id!r}")
+    if args.identity:
+        if args.identity not in NAMED_IDENTITIES:
+            raise ParseError(f"unknown identity {args.identity!r}; known: "
                              f"{sorted(NAMED_IDENTITIES)}", 0, 0)
-        elems = shuffle_images(cfg.identity)
-        label = cfg.identity
+        elems = shuffle_images(args.identity)
+        label = args.identity
     else:
-        if not cfg.input_path:
+        if not args.input_path:
             raise ParseError("need --input or --identity", 0, 0)
-        with open(cfg.input_path, encoding="utf-8") as fh:
+        with open(args.input_path, encoding="utf-8") as fh:
             lines = [l.split("#", 1)[0].strip() for l in fh.read().splitlines()]
         elems = [parse_element(l, basis.generators, line=i + 1)
                  for i, l in enumerate(lines) if l]
-        label = cfg.input_path
+        label = args.input_path
     all_zero = True
     for i, e in enumerate(elems):
         nf = reduce_element(e, basis)
@@ -165,17 +148,17 @@ def cmd_reduce(cfg: RunConfig, out=None) -> int:
     return EXIT_OK if all_zero else EXIT_NONZERO
 
 
-def cmd_ambiguities(cfg: RunConfig, out=None) -> int:
+def cmd_ambiguities(args: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
-    n = cfg.degree
-    if n > CI_ARITY_BUDGET and not cfg.extended:
+    n = args.degree
+    if n > CI_ARITY_BUDGET and not args.extended:
         raise BudgetExceededError(
             f"degree {n} exceeds the default budget; pass --extended")
     builtins = builtin_presentations()
-    if cfg.modulo not in ("gd", "wsgd"):
-        raise ParseError(f"--modulo must be gd or wsgd, got {cfg.modulo!r}", 0, 0)
+    if args.modulo not in ("gd", "wsgd"):
+        raise ParseError(f"--modulo must be gd or wsgd, got {args.modulo!r}", 0, 0)
     gd_basis = buchberger(builtins["gd"], n)
-    modulo_basis = gd_basis if cfg.modulo == "gd" \
+    modulo_basis = gd_basis if args.modulo == "gd" \
         else buchberger(builtins["wsgd"], n)
     ctx = RewriteContext(gd_basis)
     ambs = ctx.enumerate_ambiguities(n)
@@ -183,13 +166,13 @@ def cmd_ambiguities(cfg: RunConfig, out=None) -> int:
     residues = []
     for amb in ambs:
         res = ctx.residue(amb, modulo=modulo_basis)
-        if cfg.modulo == "gd":
+        if args.modulo == "gd":
             residues.append(res)
         fam = f" [{classify_degree4(amb.monomial)}]" if n == 4 else ""
         print(f"ambiguity{fam}: {format_monomial(amb.monomial)}  "
               f"{describe_app(amb.monomial, amb.app1)} vs "
               f"{describe_app(amb.monomial, amb.app2)}", file=out)
-        if cfg.emit_trace:
+        if args.emit_trace:
             for route, app in (("route-1", amb.app1), ("route-2", amb.app2)):
                 print(f"  {route}:", file=out)
                 for line in ctx.trace(ctx.apply(amb.monomial, app)):
@@ -200,16 +183,16 @@ def cmd_ambiguities(cfg: RunConfig, out=None) -> int:
             nonzero += 1
             print(f"  residue: {format_element(res, gd_basis.order)}", file=out)
     print(f"{len(ambs)} critical pairs at degree {n}; "
-          f"{nonzero} nonzero residues modulo {cfg.modulo}", file=out)
-    if cfg.modulo == "gd":
+          f"{nonzero} nonzero residues modulo {args.modulo}", file=out)
+    if args.modulo == "gd":
         found = independent_identities(residues, gd_basis)
         print(f"independent special identities found: {len(found)}", file=out)
     return EXIT_OK
 
 
-def cmd_check_gd(cfg: RunConfig, out=None) -> int:
+def cmd_check_gd(args: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
-    with open(cfg.input_path, encoding="utf-8") as fh:
+    with open(args.input_path, encoding="utf-8") as fh:
         table = GDTable.parse(fh.read())
     report = check_gd_axioms(table)
     print(report.as_text(), file=out)
@@ -297,14 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command)
-    for field_name in ("preset", "input_path", "basis_path", "output_path",
-                       "max_arity", "degree", "order_id", "modulo",
-                       "identity", "emit_trace", "extended"):
-        if hasattr(args, field_name):
-            value = getattr(args, field_name)
-            if value is not None:
-                setattr(cfg, field_name, value)
     handlers = {
         "gb": cmd_gb,
         "dims": cmd_dims,
@@ -313,7 +288,7 @@ def main(argv=None) -> int:
         "check-gd": cmd_check_gd,
     }
     try:
-        return handlers[cfg.command](cfg)
+        return handlers[args.command](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -76,7 +76,8 @@ class Poly:
     def __init__(self, terms: Mapping[Mono, Fraction | int] | None = None):
         clean: dict[Mono, Fraction] = {}
         for m, c in (terms or {}).items():
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if c:
                 clean[m] = c
         self.terms = clean

@@ -41,6 +41,7 @@ from .elements import (
     OperadElement,
     add_term,
     axpy,
+    echelon,
     memo_normal_form,
     reduce_row,
 )
@@ -383,7 +384,8 @@ class RewriteContext:
     def trace(self, poly: dict[PMonomial, Fraction]) -> list[str]:
         """The steps the normal form of ``poly`` needs: one line per
         reducible monomial reachable from ``poly`` by ``step``, in
-        descending ``pm_key`` order.  Independent of the memo."""
+        descending ``pm_key`` order, each right-hand side's terms in the
+        same order.  Independent of the memo and of dict order."""
         steps: dict[PMonomial, dict | None] = {}
         todo = list(poly)
         while todo:
@@ -395,8 +397,9 @@ class RewriteContext:
         for pm in sorted(steps, key=self.pm_key, reverse=True):
             repl = steps[pm]
             if repl is not None:
-                after = " + ".join(f"{c}*{format_monomial(pm2)}"
-                                   for pm2, c in repl.items())
+                after = " + ".join(
+                    f"{repl[pm2]}*{format_monomial(pm2)}"
+                    for pm2 in sorted(repl, key=self.pm_key, reverse=True))
                 lines.append(f"{describe_app(pm, self.applications(pm)[0])}: "
                              f"{format_monomial(pm)} -> {after}")
         return lines
@@ -606,18 +609,12 @@ def element_orbit(e: OperadElement) -> list[OperadElement]:
 
 def orbit_pivots(elems: Iterable[OperadElement], basis: GroebnerBasis,
                  pivots: dict | None = None) -> dict:
-    """Echelon pivots (lead -> monic tail) of the span of all orbit images
-    of the given elements, reduced modulo the basis."""
-    key = basis.order.key
-    pivots = dict(pivots or {})
-    for e in elems:
-        for img in element_orbit(e):
-            found = reduce_row(dict(reduce_element(img, basis).terms),
-                               pivots, key)
-            if found is not None:
-                lead, tail = found
-                pivots[lead] = tail
-    return pivots
+    """Reduced echelon form (lead -> monic tail) of the span of all orbit
+    images of the given elements, reduced modulo the basis, extending the
+    reduced form ``pivots`` when given."""
+    return echelon((reduce_element(img, basis).terms
+                    for e in elems for img in element_orbit(e)),
+                   basis.order.key, pivots)
 
 
 def independent_identities(residues: Sequence[OperadElement],

@@ -310,3 +310,32 @@ def reduce_row(row: dict[Hashable, Fraction],
             return lead, {t: v / c for t, v in row.items()}
         axpy(row, tail, -c)
     return None
+
+
+def echelon(rows: Iterable[Mapping[Hashable, Fraction]],
+            key: Callable[[Hashable], object],
+            reduced: Mapping[Hashable, Mapping[Hashable, Fraction]] | None = None,
+            ) -> dict[Hashable, dict[Hashable, Fraction]]:
+    """Reduced row echelon form of the span of ``rows`` and ``reduced``.
+
+    ``reduced``, when given, is a reduced form to extend, in the shape
+    returned: ``{lead: monic tail}``, no tail holding a lead.  The rows are
+    forward-reduced by :func:`reduce_row` shortest first, the row order of
+    F4-style batched elimination, and the pivots are then back-substituted
+    in ascending lead order.  A span has exactly one reduced form, so the
+    order of the rows cannot change the returned mapping, only the order
+    in which its dicts iterate.  ``rows`` and ``reduced`` are only read.
+    """
+    pivots = {lead: dict(tail) for lead, tail in (reduced or {}).items()}
+    for row in sorted(rows, key=len):
+        found = reduce_row(dict(row), pivots, key)
+        if found is not None:
+            lead, tail = found
+            pivots[lead] = tail
+    # ascending, so the pivots a tail refers to are already clean
+    for lead in sorted(pivots, key=key):
+        tail = pivots[lead]
+        for t, c in [(t, c) for t, c in tail.items() if t in pivots]:
+            del tail[t]
+            axpy(tail, pivots[t], -c)
+    return pivots

@@ -24,7 +24,7 @@ from .commutative import (
     normal_monomials_up_to,
     reduce_poly,
 )
-from .elements import reduce_row
+from .elements import echelon
 from .presentation import (
     ANTISYMMETRY,
     CIRC,
@@ -323,25 +323,27 @@ class EnvelopeSpec:
             return ZERO
         raise GDModelError(f"{self.name}: no bracket {{{g1}, {g2}}}")
 
+    def _partials(self, f: Poly) -> list[tuple[object, Poly]]:
+        """``(g, df/dg)`` for the generators g that occur in ``f``, in
+        generator order: the nonzero partial derivatives."""
+        occurring = {v for m in f.terms for v, _e in m}
+        return [(g, f.diff(g)) for g in self.generators if g in occurring]
+
     def lie_bracket(self, f: Poly, g: Poly) -> Poly:
         """Extend the generator bracket to polynomials as a biderivation."""
-        dgs = [(g2, dg) for g2 in self.generators if (dg := g.diff(g2))]
+        dgs = self._partials(g)
         acc = ZERO
-        for g1 in self.generators:
-            df = f.diff(g1)
-            if df:
-                for g2, dg in dgs:
-                    acc = acc + df * dg * self.pair_bracket(g1, g2)
+        for g1, df in self._partials(f):
+            for g2, dg in dgs:
+                acc = acc + df * dg * self.pair_bracket(g1, g2)
         return acc
 
     def d(self, f: Poly) -> Poly:
         acc = ZERO
-        for g in self.generators:
-            df = f.diff(g)
-            if df:
-                if g not in self.derivation:
-                    raise GDModelError(f"{self.name}: no derivative of {g}")
-                acc = acc + df * self.derivation[g]
+        for g, df in self._partials(f):
+            if g not in self.derivation:
+                raise GDModelError(f"{self.name}: no derivative of {g}")
+            acc = acc + df * self.derivation[g]
         return acc
 
     def circ(self, f: Poly, g: Poly) -> Poly:
@@ -416,13 +418,7 @@ def verify_embedding(t: GDTable, env: EnvelopeSpec,
     rep.record("embedding preserves the multiplication table", not bad, bad)
 
     # images linearly independent modulo the ideal
-    pivots: dict = {}
-    for img in env.embedding:
-        found = reduce_row(dict(nf(img).terms), pivots, mono_key)
-        if found is not None:
-            lead, tail = found
-            pivots[lead] = tail
-    rank = len(pivots)
+    rank = len(echelon((nf(img).terms for img in env.embedding), mono_key))
     rep.record("images linearly independent", rank == t.dim,
                f"rank {rank} < {t.dim}" if rank != t.dim else "")
     return rep.passed

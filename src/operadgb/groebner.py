@@ -29,9 +29,9 @@ from typing import Callable, Iterable, Sequence
 from .elements import (
     OperadElement,
     axpy,
+    echelon,
     graft_at,
     memo_normal_form,
-    reduce_row,
 )
 from .presentation import Presentation
 from .syntax import format_element, parse_element, parse_monomial
@@ -279,23 +279,22 @@ def _stratum_spolys(reducer: _Reducer, K: int,
 
 def _echelon(vectors: Iterable[dict[Tree, Fraction]],
              order: TreeOrder) -> dict[Tree, dict[Tree, Fraction]]:
-    """Reduced row echelon form of the given vectors; returns lead -> monic
-    tail (the row without its lead term), free of other pivot leads."""
-    pivots: dict[Tree, dict[Tree, Fraction]] = {}
-    key = order.key
-    for vec in vectors:
-        found = reduce_row(dict(vec), pivots, key)
-        if found is not None:
-            lead, tail = found
-            pivots[lead] = tail
-    # back-substitution, ascending so referenced pivots are already clean
-    for lead in sorted(pivots, key=key):
-        row = pivots[lead]
-        hits = [(t, c) for t, c in row.items() if t in pivots]
-        for t, c in hits:
-            del row[t]
-            axpy(row, pivots[t], -c)
-    return pivots
+    """The stratum's reduced row echelon form: lead -> monic tail.  A
+    function of its own so that ``perfbench/traced.py`` can time each
+    stratum's elimination and count its rows."""
+    return echelon(vectors, order.key)
+
+
+def _stratum_rows(reducer: _Reducer, K: int, relations: Iterable[OperadElement],
+                  gens: Sequence[GeneratorSymbol]) -> list[dict[Tree, Fraction]]:
+    """The nonzero normal forms of the arity-K relations and S-polynomials:
+    the rows of the stratum's elimination.  Each S-polynomial is reduced as
+    soon as it is generated, so no unreduced one is kept; the reducer and
+    its memos go when the rows are complete."""
+    rows = [vec for rel in relations if (vec := reducer.nf_terms(rel.terms))]
+    rows += [vec for spoly in _stratum_spolys(reducer, K, gens)
+             if spoly and (vec := reducer.nf_terms(spoly.terms))]
+    return rows
 
 
 def buchberger(p: Presentation, max_arity: int, order_id: str = "pathlex",
@@ -313,21 +312,9 @@ def buchberger(p: Presentation, max_arity: int, order_id: str = "pathlex",
     next_rid = 0
     start = min(rel_groups)
     for K in range(start, max_arity + 1):
-        reducer = _Reducer(rules, order)
-
-        def reduced_vectors():
-            for rel in rel_groups.get(K, ()):
-                vec = reducer.nf_terms(rel.terms)
-                if vec:
-                    yield vec
-            for spoly in _stratum_spolys(reducer, K, p.generators):
-                if spoly.is_zero():
-                    continue
-                vec = reducer.nf_terms(spoly.terms)
-                if vec:
-                    yield vec
-
-        pivots = _echelon(reduced_vectors(), order)
+        pivots = _echelon(_stratum_rows(_Reducer(rules, order), K,
+                                        rel_groups.get(K, ()), p.generators),
+                          order)
         for lead in sorted(pivots, key=order.key):
             tail = OperadElement(
                 {t: -c for t, c in pivots[lead].items()}, lead.arity)

@@ -90,8 +90,9 @@ def test_criterion_1_gd_dimension_table(gd5):
 @pytest.mark.skipif(not EXTENDED, reason="set OPERADGB_EXTENDED=1 to run")
 def test_criterion_1_extended_gd_dimension_6():
     basis = buchberger(BUILTINS["gd"], 6)
+    assert basis.rule_counts()[6] == 247
     assert count_normal_monomials(basis, 6) == 20699
-    report("1 (extended): dim GD(6) = 20699  PASS")
+    report("1 (extended): 247 rules at arity 6, dim GD(6) = 20699  PASS")
 
 
 def test_criterion_2_wsgd_dimension_table(wsgd5):

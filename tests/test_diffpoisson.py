@@ -19,7 +19,13 @@ from operadgb.diffpoisson import (
     monomial_weight,
     orbit_pivots,
 )
-from operadgb.groebner import buchberger, reduce_element
+from operadgb.elements import OperadElement
+from operadgb.groebner import (
+    GroebnerBasis,
+    RewriteRule,
+    buchberger,
+    reduce_element,
+)
 from operadgb.presentation import (
     GD_ACTION,
     Presentation,
@@ -144,7 +150,6 @@ def _rel(name, nvars, terms):
 
 
 def _zero3():
-    from operadgb.elements import OperadElement
     return OperadElement.zero(3)
 
 
@@ -284,6 +289,33 @@ def test_degree4_residue_space_has_rank_two(ctx, gd4):
     assert len(both) == 10  # same space
     found = independent_identities(residues, gd4)
     assert len(found) == 2
+
+
+def test_orbit_pivots_are_the_reduced_form_in_any_input_order(ctx, gd4):
+    ambs = ctx.enumerate_ambiguities(4)
+    nonzero = [r for a in ambs if not (r := ctx.residue(a)).is_zero()]
+    forward = orbit_pivots(nonzero, gd4)
+    assert orbit_pivots(nonzero[::-1], gd4) == forward
+    assert not any(t in forward for tail in forward.values() for t in tail)
+
+
+def test_trace_does_not_depend_on_the_dict_order_of_rule_tails(ctx, gd4):
+    """Rule tails keep the iteration order of the elimination that made
+    them, and it reaches every rewrite step; the printed steps must not
+    show it."""
+    flipped = GroebnerBasis(
+        gd4.presentation_name, gd4.generators, gd4.order_id, gd4.max_arity,
+        [RewriteRule(r.lead, OperadElement(
+            dict(reversed(r.tail.terms.items())), r.arity), r.rid)
+         for r in gd4.rules])
+    other = RewriteContext(flipped)
+
+    def traces(c):
+        return [(format_monomial(a.monomial),
+                 [c.trace(c.apply(a.monomial, app)) for app in (a.app1, a.app2)])
+                for a in c.enumerate_ambiguities(4)]
+
+    assert traces(other) == traces(ctx)
 
 
 def test_a3_residue_is_spec1_instance(ctx, gd4):

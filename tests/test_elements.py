@@ -7,9 +7,9 @@ from operadgb.elements import (
     ElementError,
     OperadElement,
     axpy,
+    echelon,
     graft_at,
     memo_normal_form,
-    reduce_row,
     shuffle_compose,
 )
 from operadgb.groebner import buchberger
@@ -140,26 +140,33 @@ def test_graft_matches_compose():
     assert graft_at(host, occ, repl2) == direct
 
 
-def test_reduce_row_compares_monomials_by_equality():
+def test_echelon_compares_by_equality_and_only_reads_its_input():
     """Commutative monomials are plain tuples: rows built separately hold
-    equal but distinct key objects, which the kernel must treat as one."""
+    equal but distinct key objects, which the kernel must treat as one.
+    ``echelon`` copies its rows and the reduced form it extends, although
+    back-substitution changes the extended form's tails."""
+    from copy import deepcopy
+
     from operadgb.commutative import mono_key
 
     def fresh(*pairs):
         return tuple([tuple(p) for p in pairs])
 
-    pivots = {}
-    lead, tail = reduce_row({fresh(("a", 2)): Fraction(2),
-                             fresh(("a", 1)): Fraction(1)}, pivots, mono_key)
-    assert lead == fresh(("a", 2)) and tail == {fresh(("a", 1)): Fraction(1, 2)}
-    pivots[lead] = tail
-    row = {fresh(("a", 2)): Fraction(4), fresh(("a", 1)): Fraction(2)}
-    assert all(k is not lead for k in row)
-    assert reduce_row(row, pivots, mono_key) is None
-    lead2, tail2 = reduce_row({fresh(("a", 2)): Fraction(1),
-                               fresh(("b", 1)): Fraction(3)}, pivots, mono_key)
-    assert lead2 == fresh(("b", 1))
-    assert tail2 == {fresh(("a", 1)): Fraction(-1, 6)}
+    rows = [{fresh(("a", 2)): Fraction(2), fresh(("b", 1)): Fraction(1)},
+            {fresh(("a", 2)): Fraction(4), fresh(("b", 1)): Fraction(2)}]
+    assert rows[0].keys() == rows[1].keys()
+    assert all(k is not j for k in rows[0] for j in rows[1])
+    rows_before = deepcopy(rows)
+    reduced = echelon(rows, mono_key)
+    assert reduced == {fresh(("a", 2)): {fresh(("b", 1)): Fraction(1, 2)}}
+    assert rows == rows_before
+    reduced_before = deepcopy(reduced)
+    more = [{fresh(("b", 1)): Fraction(3), fresh(("a", 1)): Fraction(3)}]
+    assert echelon(more, mono_key, reduced) == {
+        fresh(("a", 2)): {fresh(("a", 1)): Fraction(-1, 2)},
+        fresh(("b", 1)): {fresh(("a", 1)): Fraction(1)}}
+    assert reduced == reduced_before
+    assert more == [{fresh(("b", 1)): Fraction(3), fresh(("a", 1)): Fraction(3)}]
 
 
 def test_axpy_cancels_and_keeps_fractions():

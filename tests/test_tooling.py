@@ -78,3 +78,20 @@ def test_reducer_matches_through_the_module_global(monkeypatch):
     for m in monomials:
         list(reducer.occurrences(m))
     assert 0 < len(calls) <= candidates
+
+
+def test_buchberger_eliminates_through_the_module_global(monkeypatch):
+    """The tracer reads ``groebner.echelon_rows`` and ``new_rules`` from
+    its wrapper of ``groebner._echelon``: one call per stratum, whose
+    result holds exactly the stratum's new rules."""
+    results = []
+    real = groebner._echelon
+
+    def counted(vectors, order):
+        results.append(real(vectors, order))
+        return results[-1]
+
+    monkeypatch.setattr(groebner, "_echelon", counted)
+    basis = buchberger(builtin_presentations()["gd"], 5)
+    assert [len(r) for r in results] == list(basis.rule_counts().values())
+    assert basis.rule_counts() == {3: 10, 4: 9, 5: 31}
