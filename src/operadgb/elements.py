@@ -223,13 +223,19 @@ def axpy(acc: dict[Hashable, Fraction], terms: Mapping[Hashable, Fraction],
     """``acc += c * terms`` (``acc += terms`` without ``c``) in place,
     dropping coefficients that cancel; returns ``acc``.  Stored values are
     always :class:`Fraction`; ``terms`` is only read."""
-    c = Fraction(1) if c is None else Fraction(c)
-    if not c:
-        return acc
-    scaled = c != 1
+    if c is None:
+        scaled = False
+    else:
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
+        if not c:
+            return acc
+        scaled = c != 1
     for t, v in terms.items():
-        if scaled or type(v) is not Fraction:
+        if scaled:
             v = c * v
+        elif type(v) is not Fraction:
+            v = Fraction(v)
         s = acc.get(t)
         if s is None:
             acc[t] = v

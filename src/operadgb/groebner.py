@@ -10,6 +10,13 @@ two distinct equal-arity leading monomials never divide one another (an
 equal-arity divisor is the whole tree), so all interaction inside a stratum
 is plain linear algebra.
 
+The S-polynomials come from superposition: a common multiple of two leads
+has one occurrence at the root, and the other lead's top vertex is one of
+that occurrence's vertices, so laying the second lead over each vertex of
+the first with the same generator gives every shape a common multiple can
+have; its shuffle labellings in which both leads occur are the common
+multiples.  :func:`overlaps` spells out why this is exhaustive.
+
 Reduction is deterministic: a monomial's one rewrite step uses the divisor
 at its first pre-order position, rules tried in a fixed order (arity, lead
 key, rid), so normal forms are linear and are memoized per monomial by
@@ -41,11 +48,12 @@ from .trees import (
     Tree,
     TreeError,
     TreeOrder,
-    extensions,
     iter_positions,
     occurrence_at,
     order_for,
+    shape_labellings,
     subtree_at,
+    superpose,
 )
 
 
@@ -239,30 +247,53 @@ def overlaps(reducer: _Reducer, K: int, gens: Sequence[GeneratorSymbol]):
     of ``reducer``, as ``(m, r1, occ1, r2, occ2)``: the two occurrences
     share a vertex and jointly cover ``m``.
 
-    One of the two occurrences always sits at the root, so extending each
-    lead of arity below K and scanning for the other occurrence is
-    exhaustive.  A lead of arity K is never extended; for an interreduced
-    rule set it could only overlap a lead that divides it.
+    Each common multiple is built by superposing the two leads.  Since the
+    occurrences cover ``m``, one of them contains the root; call its rule
+    ``r1``.  A lead of arity K would be all of ``m``, so ``r1`` has arity
+    below K (for an interreduced rule set the other lead could only divide
+    it).  The occurrence of ``r2`` shares a vertex with the root
+    occurrence, and its top vertex ``p`` lies on the path from the root to
+    that shared vertex.  The root occurrence's vertex set is closed upward,
+    so ``p`` is an internal vertex of ``r1.lead``, carrying the generator
+    of ``r2.lead``'s root.  Outside the subtree at ``p`` only
+    ``r1`` covers ``m``; inside it the two leads laid over each other
+    (:func:`~operadgb.trees.superpose`) cover it, a vertex of either one
+    being a vertex of ``m``.  So the shape of ``m`` is that superposition,
+    and ``m`` is one of its shuffle labellings on 1..K in which both leads
+    occur, at the root and at ``p``.  Every such labelling is a common
+    multiple: the occurrences share ``p`` and cover the shape.  ``gens`` is
+    not read, since every vertex of ``m`` comes from one of the leads.
     """
+    by_root: dict[str, list[RewriteRule]] = {}
+    for r in reducer.rules:
+        by_root.setdefault(r.lead.gen, []).append(r)
+    labellings: dict[Tree, list[Tree]] = {}  # shapes recur across pairs
     seen: set = set()
     for r1 in reducer.rules:
         if r1.arity >= K:
             continue
-        for m, occ1 in extensions(r1.lead, K, gens):
-            allv = frozenset(iter_positions(m))
-            for r2, occ2 in reducer.occurrences(m):
-                if r2 is r1 and occ2.path == occ1.path:
+        for p in iter_positions(r1.lead):
+            for r2 in by_root.get(subtree_at(r1.lead, p).gen, ()):
+                if r2 is r1 and not p:
                     continue
-                if not (occ1.vertices & occ2.vertices):
+                shape = superpose(r1.lead, p, r2.lead)
+                if shape is None or shape.arity != K:
                     continue
-                if (occ1.vertices | occ2.vertices) != allv:
-                    continue
-                pair_key = (m,) + tuple(sorted(((r1.rid, occ1.path),
-                                                (r2.rid, occ2.path))))
-                if pair_key in seen:
-                    continue
-                seen.add(pair_key)
-                yield m, r1, occ1, r2, occ2
+                if shape not in labellings:
+                    labellings[shape] = shape_labellings(shape)
+                for m in labellings[shape]:
+                    occ1 = occurrence_at(r1.lead, m, ())
+                    if occ1 is None:
+                        continue
+                    occ2 = occurrence_at(r2.lead, m, p)
+                    if occ2 is None:
+                        continue
+                    pair_key = (m,) + tuple(sorted(((r1.rid, ()),
+                                                    (r2.rid, p))))
+                    if pair_key in seen:
+                        continue
+                    seen.add(pair_key)
+                    yield m, r1, occ1, r2, occ2
 
 
 def _spoly(m: Tree, r1: RewriteRule, o1: Occurrence, r2: RewriteRule,

@@ -17,7 +17,7 @@ synchronized, so they are not safe to build from several threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, combinations, count, product
 from typing import Callable, Iterator, Sequence
 
 
@@ -487,16 +487,25 @@ def _gens_sig(gens: Sequence[GeneratorSymbol]) -> tuple:
 def shuffle_graftings(n: int, k: int, level: Callable[[int], Sequence[Tree]],
                       ) -> Iterator[tuple[Tree, ...]]:
     """Every ``k``-tuple of trees on the labels 1..n in shuffle position:
-    for each composition of n into k parts and each partition into blocks
-    of those sizes with increasing minima, the product of ``level(size)``
-    relabelled onto the blocks.  These are the children of an arity-k
+    for each composition of n into k parts, the :func:`_block_graftings` of
+    ``level(size)`` over its parts.  These are the children of an arity-k
     vertex, or the slots of an arity-k pattern, over arity n."""
-    labels = tuple(range(1, n + 1))
     return chain.from_iterable(
-        product(*([relabel_ordered(t, b) for t in level(len(b))]
-                  for b in blocks))
-        for comp in compositions(n, k)
-        for blocks in min_increasing_blocks(labels, comp))
+        _block_graftings(comp, [level(size) for size in comp])
+        for comp in compositions(n, k))
+
+
+def _block_graftings(sizes: Sequence[int], levels: Sequence[Sequence[Tree]],
+                    ) -> Iterator[tuple[Tree, ...]]:
+    """Every tuple of trees on the labels 1..sum(sizes) in shuffle position
+    whose i-th tree is one of ``levels[i]``, trees on 1..sizes[i]: for each
+    partition into blocks of these sizes with increasing minima, the product
+    of the levels relabelled onto the blocks."""
+    labels = tuple(range(1, sum(sizes) + 1))
+    return chain.from_iterable(
+        product(*([relabel_ordered(t, b) for t in level]
+                  for level, b in zip(levels, blocks)))
+        for blocks in min_increasing_blocks(labels, sizes))
 
 
 def all_trees(gens: Sequence[GeneratorSymbol], n: int) -> tuple[Tree, ...]:
@@ -535,3 +544,58 @@ def extensions(t: Tree, target_arity: int,
         assert occ is not None
         out.append((m, occ))
     return out
+
+
+# ---------------------------------------------------------------------------
+# shapes: trees up to their leaf labels
+# ---------------------------------------------------------------------------
+
+def superpose(host: Tree, path: tuple[int, ...], pattern: Tree) -> Tree | None:
+    """The shape of ``host`` with ``pattern`` laid over its vertex at
+    ``path``, or ``None`` when the two clash.
+
+    Leaf labels are ignored.  Where one of the two has a leaf and the other
+    a vertex, the vertex is kept; where both have vertices, their
+    generators and child counts must agree.  The result's leaves are
+    numbered 1, 2, ... left to right, one representative of the shape;
+    :func:`shape_labellings` gives all of them.
+    """
+    if not _fits(subtree_at(host, path), pattern):
+        return None
+    labels = count(1)
+
+    def lay(a: Tree, b: Tree | None) -> Tree:
+        # b is the part of the pattern over a, None off the pattern
+        if b is not None and a.is_leaf:
+            a, b = b, None
+        if a.is_leaf:
+            return leaf(next(labels))
+        over = b.children if b is not None and not b.is_leaf \
+            else (None,) * len(a.children)
+        return node(a.gen, [lay(x, y) for x, y in zip(a.children, over)])
+
+    def along(a: Tree, rest: tuple[int, ...]) -> Tree:
+        if not rest:
+            return lay(a, pattern)
+        return node(a.gen, [along(c, rest[1:]) if i == rest[0] else lay(c, None)
+                            for i, c in enumerate(a.children)])
+
+    return along(host, path)
+
+
+def _fits(a: Tree, b: Tree) -> bool:
+    return a.is_leaf or b.is_leaf or (
+        a.gen == b.gen and len(a.children) == len(b.children)
+        and all(map(_fits, a.children, b.children)))
+
+
+def shape_labellings(shape: Tree) -> list[Tree]:
+    """Every shuffle tree monomial on the labels 1..arity with the shape
+    of ``shape``: the same vertices, generators and child counts, with the
+    leaves labelled in each way the shuffle condition allows."""
+    if shape.is_leaf:
+        return [leaf(1)]
+    kids = shape.children
+    return [node(shape.gen, ks)
+            for ks in _block_graftings([c.arity for c in kids],
+                                      [shape_labellings(c) for c in kids])]

@@ -3,6 +3,9 @@
 These deliberately avoid the Groebner engine: quotient dimensions are
 computed by expanding one-step consequences of the relations and doing
 exact Gaussian elimination over the full monomial basis of each arity.
+Overlaps are found by scanning every extension of a lead for a second one;
+the scan uses the reducer's lead index, which ``test_groebner`` checks
+against trying every rule at every position.
 Differential Poisson normal forms are recomputed by a greatest-first
 worklist that does not share the memoized normal-form engine.
 """
@@ -17,6 +20,8 @@ from operadgb.trees import (
     ShufflePartition,
     TreeOrder,
     all_trees,
+    extensions,
+    iter_positions,
     leaf,
     min_increasing_blocks,
 )
@@ -124,3 +129,30 @@ def worklist_normal_form(ctx, poly: dict) -> dict:
             if not work[pm2]:
                 del work[pm2]
     return out
+
+
+def scanned_overlaps(reducer, K: int, gens):
+    """The overlaps of ``groebner.overlaps`` by brute force, as the same
+    ``(m, r1, occ1, r2, occ2)`` tuples: extend each lead of arity below K
+    at the root to every arity-K monomial (``trees.extensions``) and scan
+    each one, position by position, for a second lead occurrence that
+    shares a vertex with the first and jointly covers the monomial."""
+    seen: set = set()
+    for r1 in reducer.rules:
+        if r1.arity >= K:
+            continue
+        for m, occ1 in extensions(r1.lead, K, gens):
+            allv = frozenset(iter_positions(m))
+            for r2, occ2 in reducer.occurrences(m):
+                if r2 is r1 and occ2.path == occ1.path:
+                    continue
+                if not (occ1.vertices & occ2.vertices):
+                    continue
+                if (occ1.vertices | occ2.vertices) != allv:
+                    continue
+                pair_key = (m,) + tuple(sorted(((r1.rid, occ1.path),
+                                                (r2.rid, occ2.path))))
+                if pair_key in seen:
+                    continue
+                seen.add(pair_key)
+                yield m, r1, occ1, r2, occ2

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -31,7 +32,7 @@ from operadgb.trees import (
     order_for,
 )
 
-from oracles import quotient_dimension
+from oracles import quotient_dimension, scanned_overlaps
 
 BUILTINS = builtin_presentations()
 
@@ -54,6 +55,11 @@ def gd5():
 @pytest.fixture(scope="module")
 def wsgd5():
     return buchberger(BUILTINS["wsgd"], 5)
+
+
+@pytest.fixture(scope="module")
+def novikov6():
+    return buchberger(BUILTINS["novikov"], 6)
 
 
 def s_polynomials(r1, r2, max_arity, basis):
@@ -331,3 +337,46 @@ def test_lead_index_with_leaf_children_on_either_side():
              for rid, lead in zip((7, 3, 5, 9, 1, 2), leads)]
     monomials = [m for n in range(2, 6) for m in all_trees(gens, n)]
     assert_index_matches_scan(rules, order, monomials)
+
+
+# -- the overlap enumerator against a scan of every extension ----------------
+
+def assert_overlaps_match_scan(basis, K):
+    """The stratum-K overlaps of ``basis``'s rules below arity K: the same
+    unordered keys as the brute-force scan, none twice, each pair of
+    occurrences sharing a vertex and covering the monomial.  Returns the
+    number of overlaps."""
+    reducer = _Reducer([r for r in basis.rules if r.arity < K], basis.order)
+
+    def keys(found):
+        return [(m, frozenset({(r1.rid, o1.path), (r2.rid, o2.path)}))
+                for m, r1, o1, r2, o2 in found]
+
+    found = list(overlaps(reducer, K, basis.generators))
+    got = keys(found)
+    assert len(set(got)) == len(got)
+    assert set(got) == set(keys(scanned_overlaps(reducer, K,
+                                                 basis.generators)))
+    for m, r1, o1, r2, o2 in found:
+        assert m.arity == K
+        assert o1.vertices & o2.vertices
+        assert o1.vertices | o2.vertices == set(iter_positions(m))
+    return len(got)
+
+
+def test_overlaps_match_scan_in_every_stratum(gd5, wsgd5, novikov6, lie6):
+    counts = {basis.presentation_name: [
+        assert_overlaps_match_scan(basis, K)
+        for K in range(3, basis.max_arity + 1)]
+        for basis in (gd5, wsgd5, novikov6, lie6)}
+    assert counts == {"gd": [0, 44, 179], "wsgd": [0, 44, 388],
+                      "novikov": [0, 26, 110, 380],
+                      "lie": [0, 1, 0, 0]}
+
+
+@pytest.mark.extended
+@pytest.mark.skipif(os.environ.get("OPERADGB_EXTENDED") != "1",
+                    reason="set OPERADGB_EXTENDED=1 to run")
+def test_overlaps_match_scan_at_arity6(gd5, wsgd5):
+    assert assert_overlaps_match_scan(gd5, 6) == 1160
+    assert assert_overlaps_match_scan(wsgd5, 6) == 4034

@@ -21,7 +21,9 @@ from operadgb.trees import (
     permute_leaves,
     relabel_ordered,
     replace_at,
+    shape_labellings,
     substitute,
+    superpose,
 )
 
 X = GeneratorSymbol("x", 2)
@@ -210,6 +212,35 @@ def test_extensions_are_root_divisible():
     # oracle: every arity-4 monomial with a root occurrence shows up
     oracle = {m for m in all_trees(GENS, 4) if occurrence_at(pat, m, ()) is not None}
     assert seen == oracle
+
+
+def skeleton(m):
+    return None if m.is_leaf else (m.gen, tuple(map(skeleton, m.children)))
+
+
+def test_shape_labellings_are_the_monomials_of_one_shape():
+    for n in range(1, 6):
+        by_shape = {}
+        for m in all_trees(GENS, n):
+            by_shape.setdefault(skeleton(m), []).append(m)
+        for ms in by_shape.values():
+            got = shape_labellings(ms[-1])
+            assert len(set(got)) == len(got)
+            assert set(got) == set(ms)
+
+
+def test_superpose_keeps_the_vertices_of_both():
+    jac = t("z", t("z", 1, 2), 3)
+    # the pattern's vertex over the host's leaf, and the host's over the
+    # pattern's: both kept, leaves numbered left to right
+    assert superpose(jac, (0,), jac) == t("z", t("z", t("z", 1, 2), 3), 4)
+    assert superpose(jac, (), t("z", 1, t("x", 2, 3))) == \
+        t("z", t("z", 1, 2), t("x", 3, 4))
+    assert superpose(t("x", t("z", 1, 2), 3), (0,), jac) == \
+        t("x", t("z", t("z", 1, 2), 3), 4)
+    # generators or child counts that disagree under one vertex clash
+    assert superpose(jac, (), t("z", t("x", 1, 2), 3)) is None
+    assert superpose(jac, (0,), t("x", 1, 2)) is None
 
 
 def test_order_admissibility_under_contexts():
