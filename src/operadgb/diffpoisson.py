@@ -18,7 +18,8 @@ act on a product of chains:
 * P-rules (from the Poisson envelope ideal): an underived single factor a
   times a chain ending in a derived letter b^(n) absorbs a via the Leibniz
   expansion of {g1,...,{gk, a b^(n) - ...}}, trading the product for
-  chains over GD composites.
+  chains over GD composites.  The P0 rule, a times a derived single factor
+  b^(n), is the P-rule on a one-letter chain, whose interior is empty.
 
 Every rewrite strictly decreases the measure (bracket count, multiset of
 derivative orders, free underived letters, L-reducible brackets), which is
@@ -47,7 +48,14 @@ from .elements import (
 )
 from .groebner import GroebnerBasis, reduce_element
 from .presentation import permute_element
-from .trees import Tree, leaf, node, relabel_ordered
+from .trees import (
+    Tree,
+    compositions,
+    leaf,
+    min_increasing_blocks,
+    node,
+    relabel_ordered,
+)
 
 
 class DiffPoissonError(ValueError):
@@ -80,7 +88,9 @@ class Letter(NamedTuple):
 Chain = tuple  # tuple[Letter, ...], right-nested bracket chain
 PMonomial = tuple  # tuple[Chain, ...], sorted commutative product
 
-App = tuple  # ("L", ci) | ("P0", ai, bi) | ("P", ai, ci, flip)
+# ("L", ci) | ("P", ai, ci, flip) | ("P0", ai, ci), the P-rule on a one-letter
+# chain, applied with flip 0
+App = tuple
 
 
 def chain_weight(c: Chain) -> int:
@@ -105,10 +115,8 @@ def measure(pm: PMonomial) -> tuple:
 
 
 def app_footprint(app: App) -> frozenset:
-    kind = app[0]
-    if kind == "L":
-        return frozenset((app[1],))
-    return frozenset((app[1], app[2]))
+    """The factors an application rewrites."""
+    return frozenset(app[1:3])
 
 
 @dataclass(frozen=True)
@@ -244,21 +252,13 @@ class RewriteContext:
             for ci, c in enumerate(pm):
                 if ci == ai:
                     continue
-                if len(c) == 1 and c[0].order >= 1:
-                    apps.append(("P0", ai, ci))
-                elif len(c) >= 2:
-                    if c[-1].order >= 1:
-                        apps.append(("P", ai, ci, 0))
-                    if c[-2].order >= 1:
-                        apps.append(("P", ai, ci, 1))
+                if c[-1].order >= 1:
+                    apps.append(("P0", ai, ci) if len(c) == 1
+                                else ("P", ai, ci, 0))
+                if len(c) >= 2 and c[-2].order >= 1:
+                    apps.append(("P", ai, ci, 1))
         apps.sort()
         return apps
-
-    def _replace(self, pm: PMonomial, dropped: tuple[int, ...],
-                 added: Iterable[Chain]) -> PMonomial:
-        kept = [c for i, c in enumerate(pm) if i not in dropped]
-        kept.extend(added)
-        return self.make_monomial(kept)
 
     def apply(self, pm: PMonomial, app: App) -> dict[PMonomial, Fraction]:
         """One rewrite step at the given application; returns the
@@ -266,18 +266,29 @@ class RewriteContext:
         kind = app[0]
         if kind == "L":
             acc = self._apply_lie(pm, app[1])
-        elif kind == "P0":
-            acc = self._apply_p0(pm, app[1], app[2])
         else:
-            acc = self._apply_poisson(pm, app[1], app[2], app[3])
+            acc = self._apply_poisson(pm, app[1], app[2],
+                                      app[3] if kind == "P" else 0)
         before = measure(pm)
         for out_pm in acc:
             assert measure(out_pm) < before, \
                 f"termination measure failed at {app} on {pm}"
         return acc
 
-    def _add(self, acc, pm, coeff) -> None:
-        add_term(acc, pm, Fraction(coeff))
+    def _emit(self, acc: dict[PMonomial, Fraction], pm: PMonomial,
+              dropped: tuple[int, ...], chains: Iterable[Sequence[Letter]],
+              coeff: int | Fraction) -> None:
+        """Add ``coeff`` times ``pm`` with its factors at ``dropped``
+        replaced by ``chains``, each canonicalized; nothing when one of
+        them vanishes."""
+        kept = [c for i, c in enumerate(pm) if i not in dropped]
+        for letters in chains:
+            s, c = self.make_chain(letters)
+            if c is None:
+                return
+            coeff *= s
+            kept.append(c)
+        add_term(acc, self.make_monomial(kept), Fraction(coeff))
 
     def _apply_lie(self, pm: PMonomial, ci: int) -> dict[PMonomial, Fraction]:
         chain = pm[ci]
@@ -288,29 +299,11 @@ class RewriteContext:
         a, b, n = u.base, v.base, v.order
         acc: dict[PMonomial, Fraction] = {}
         for beta, cb in self.bracket_pair(a, b).items():
-            s, nc = self.make_chain(prefix + (Letter(beta, n),))
-            if nc is not None:
-                self._add(acc, self._replace(pm, (ci,), [nc]), cb * s)
+            self._emit(acc, pm, (ci,), [prefix + (Letter(beta, n),)], cb)
         for i in range(1, n + 1):
-            s, nc = self.make_chain(prefix + (Letter(a, i), Letter(b, n - i)))
-            if nc is not None:
-                self._add(acc, self._replace(pm, (ci,), [nc]),
-                          -comb(n, i) * s)
-        return acc
-
-    def _apply_p0(self, pm: PMonomial, ai: int, bi: int) -> dict[PMonomial, Fraction]:
-        alpha = pm[ai][0]
-        blet = pm[bi][0]
-        n = blet.order
-        acc: dict[PMonomial, Fraction] = {}
-        for delta, cd in self.circ_pair(alpha.base, blet.base).items():
-            self._add(acc, self._replace(pm, (ai, bi),
-                                         [(Letter(delta, n - 1),)]), cd)
-        for i in range(1, n):
-            self._add(acc, self._replace(
-                pm, (ai, bi),
-                [(Letter(alpha.base, i),), (Letter(blet.base, n - i),)]),
-                -comb(n - 1, i))
+            self._emit(acc, pm, (ci,),
+                       [prefix + (Letter(a, i), Letter(b, n - i))],
+                       -comb(n, i))
         return acc
 
     def _apply_poisson(self, pm: PMonomial, ai: int, ci: int,
@@ -320,50 +313,34 @@ class RewriteContext:
         if flip:
             interior = chain[:-2] + (chain[-1],)
             blet = chain[-2]
-            sgn = Fraction(-1)
+            sgn = -1
         else:
             interior = chain[:-1]
             blet = chain[-1]
-            sgn = Fraction(1)
+            sgn = 1
         n = blet.order
         if n < 1 or alpha.order != 0:
             raise DiffPoissonError("P-rule needs underived factor and derived chain end")
+        dropped = (ai, ci)
         acc: dict[PMonomial, Fraction] = {}
         # {g_1,...,{g_k, (alpha o beta)^(n-1)}}
         for delta, cd in self.circ_pair(alpha.base, blet.base).items():
-            s, nc = self.make_chain(interior + (Letter(delta, n - 1),))
-            if nc is not None:
-                self._add(acc, self._replace(pm, (ai, ci), [nc]), sgn * cd * s)
-        # - sum_i C(n-1,i) {chain, alpha^(i) beta^(n-i)} via Leibniz
+            self._emit(acc, pm, dropped, [interior + (Letter(delta, n - 1),)],
+                       sgn * cd)
+        # - sum_i C(n-1,i) {g_1,...,{g_k, alpha^(i) beta^(n-i)}}, expanded
+        # by Leibniz over the subsets S of the interior
+        splits = _splits(interior)
         for i in range(1, n):
+            u, v = Letter(alpha.base, i), Letter(blet.base, n - i)
             coeff = -sgn * comb(n - 1, i)
-            for pm2, c2 in self._leibniz(pm, (ai, ci), interior,
-                                         Letter(alpha.base, i),
-                                         Letter(blet.base, n - i)):
-                self._add(acc, pm2, coeff * c2)
+            for part, rest in splits:
+                self._emit(acc, pm, dropped, [part + (u,), rest + (v,)], coeff)
         # - sum over nonempty S of {g_S, alpha} {g_rest, beta^(n)}: the
-        # Leibniz expansion without its first entry, S empty, which is +-pm
-        for pm2, c2 in self._leibniz(pm, (ai, ci), interior, alpha, blet)[1:]:
-            self._add(acc, pm2, -sgn * c2)
+        # Leibniz expansion without S empty, which is +-pm itself
+        for part, rest in splits[1:]:
+            self._emit(acc, pm, dropped, [part + (alpha,), rest + (blet,)],
+                       -sgn)
         return acc
-
-    def _leibniz(self, pm, dropped, interior, u: Letter, v: Letter):
-        """{g_1,...,{g_k, u v}...} expanded over subsets of the interior."""
-        out = []
-        idx = tuple(range(len(interior)))
-        for r in range(len(interior) + 1):
-            for S in combinations(idx, r):
-                rest = tuple(j for j in idx if j not in S)
-                s1, c1 = self.make_chain(tuple(interior[j] for j in S) + (u,))
-                if c1 is None:
-                    continue
-                s2, c2 = self.make_chain(
-                    tuple(interior[j] for j in rest) + (v,))
-                if c2 is None:
-                    continue
-                out.append((self._replace(pm, dropped, [c1, c2]),
-                            Fraction(s1 * s2)))
-        return out
 
     # -- normal forms --------------------------------------------------------
 
@@ -424,25 +401,29 @@ class RewriteContext:
     def weight_minus_one_monomials(self, n: int) -> list[PMonomial]:
         """All multilinear weight-(-1) monomials of degree n over single
         variables, in canonical chain form."""
-        out: set[PMonomial] = set()
-        variables = list(range(1, n + 1))
-        for blocks in set_partitions(variables):
-            deriv_budget = len(blocks) - 1
-            for orders in weak_compositions(deriv_budget, n):
-                chain_options = []
-                for block in blocks:
-                    opts = []
-                    for perm in permutations(block):
-                        letters = tuple(self.var_letter(v, orders[v - 1])
-                                        for v in perm)
-                        if len(letters) >= 2 and \
-                                self.letter_key(letters[-2]) <= \
-                                self.letter_key(letters[-1]):
-                            continue  # keep one orientation per bracket
-                        opts.append(letters)
-                    chain_options.append(opts)
-                for chains in product(*chain_options):
-                    out.add(self.make_monomial(chains))
+        out: list[PMonomial] = []
+        variables = range(1, n + 1)
+        for k in variables:
+            # the set partitions into k blocks, ordered by their minima, and
+            # the k - 1 derivatives spread over the n variables
+            for sizes, shifted in product(compositions(n, k),
+                                          compositions(n + k - 1, n)):
+                for blocks in min_increasing_blocks(variables, sizes):
+                    chain_options = []
+                    for block in blocks:
+                        opts = []
+                        for perm in permutations(block):
+                            letters = tuple(
+                                self.var_letter(v, shifted[v - 1] - 1)
+                                for v in perm)
+                            if len(letters) >= 2 and \
+                                    self.letter_key(letters[-2]) <= \
+                                    self.letter_key(letters[-1]):
+                                continue  # keep one orientation per bracket
+                            opts.append(letters)
+                        chain_options.append(opts)
+                    out.extend(self.make_monomial(chains)
+                               for chains in product(*chain_options))
         return sorted(out, key=self.pm_key)
 
     def enumerate_ambiguities(self, n: int) -> list[Ambiguity]:
@@ -484,24 +465,15 @@ class RewriteContext:
         return res
 
 
-def set_partitions(items: list) -> Iterable[list[list]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
-
-
-def weak_compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _splits(letters: Chain) -> list[tuple[Chain, Chain]]:
+    """Every subset of ``letters`` with its complement, both in chain
+    order: by size, then in ``combinations`` order, the empty subset
+    first."""
+    idx = range(len(letters))
+    return [(tuple(letters[j] for j in part),
+             tuple(letters[j] for j in idx if j not in part))
+            for r in range(len(letters) + 1)
+            for part in combinations(idx, r)]
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +516,8 @@ def describe_app(pm: PMonomial, app: App) -> str:
     if kind == "L":
         c = pm[app[1]]
         return f"L[{format_letter(c[-2])},{format_letter(c[-1])}]"
-    if kind == "P0":
-        return (f"P0[{format_letter(pm[app[1]][0])};"
-                f"{format_letter(pm[app[2]][0])}]")
-    flip = "~" if app[3] else ""
-    return (f"P{flip}[{format_letter(pm[app[1]][0])};"
-            f"{format_chain(pm[app[2]])}]")
+    tag = "P~" if kind == "P" and app[3] else kind
+    return f"{tag}[{format_letter(pm[app[1]][0])};{format_chain(pm[app[2]])}]"
 
 
 # ---------------------------------------------------------------------------

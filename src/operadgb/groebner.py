@@ -242,7 +242,7 @@ def reduce_random(f: OperadElement, basis: GroebnerBasis, rng) -> OperadElement:
 # overlaps, S-polynomials and stratum elimination
 # ---------------------------------------------------------------------------
 
-def overlaps(reducer: _Reducer, K: int, gens: Sequence[GeneratorSymbol]):
+def overlaps(reducer: _Reducer, K: int):
     """Every minimal common multiple of arity exactly K of two rule leads
     of ``reducer``, as ``(m, r1, occ1, r2, occ2)``: the two occurrences
     share a vertex and jointly cover ``m``.
@@ -261,8 +261,7 @@ def overlaps(reducer: _Reducer, K: int, gens: Sequence[GeneratorSymbol]):
     being a vertex of ``m``.  So the shape of ``m`` is that superposition,
     and ``m`` is one of its shuffle labellings on 1..K in which both leads
     occur, at the root and at ``p``.  Every such labelling is a common
-    multiple: the occurrences share ``p`` and cover the shape.  ``gens`` is
-    not read, since every vertex of ``m`` comes from one of the leads.
+    multiple: the occurrences share ``p`` and cover the shape.
     """
     by_root: dict[str, list[RewriteRule]] = {}
     for r in reducer.rules:
@@ -301,10 +300,9 @@ def _spoly(m: Tree, r1: RewriteRule, o1: Occurrence, r2: RewriteRule,
     return graft_at(m, o1, r1.tail) - graft_at(m, o2, r2.tail)
 
 
-def _stratum_spolys(reducer: _Reducer, K: int,
-                    gens: Sequence[GeneratorSymbol]):
+def _stratum_spolys(reducer: _Reducer, K: int):
     """All S-polynomials at arity exactly K among the reducer's rules."""
-    for overlap in overlaps(reducer, K, gens):
+    for overlap in overlaps(reducer, K):
         yield _spoly(*overlap)
 
 
@@ -316,14 +314,14 @@ def _echelon(vectors: Iterable[dict[Tree, Fraction]],
     return echelon(vectors, order.key)
 
 
-def _stratum_rows(reducer: _Reducer, K: int, relations: Iterable[OperadElement],
-                  gens: Sequence[GeneratorSymbol]) -> list[dict[Tree, Fraction]]:
+def _stratum_rows(reducer: _Reducer, K: int, relations: Iterable[OperadElement]
+                  ) -> list[dict[Tree, Fraction]]:
     """The nonzero normal forms of the arity-K relations and S-polynomials:
     the rows of the stratum's elimination.  Each S-polynomial is reduced as
     soon as it is generated, so no unreduced one is kept; the reducer and
     its memos go when the rows are complete."""
     rows = [vec for rel in relations if (vec := reducer.nf_terms(rel.terms))]
-    rows += [vec for spoly in _stratum_spolys(reducer, K, gens)
+    rows += [vec for spoly in _stratum_spolys(reducer, K)
              if spoly and (vec := reducer.nf_terms(spoly.terms))]
     return rows
 
@@ -344,8 +342,7 @@ def buchberger(p: Presentation, max_arity: int, order_id: str = "pathlex",
     start = min(rel_groups)
     for K in range(start, max_arity + 1):
         pivots = _echelon(_stratum_rows(_Reducer(rules, order), K,
-                                        rel_groups.get(K, ()), p.generators),
-                          order)
+                                        rel_groups.get(K, ())), order)
         for lead in sorted(pivots, key=order.key):
             tail = OperadElement(
                 {t: -c for t, c in pivots[lead].items()}, lead.arity)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .elements import OperadElement, add_term, element_from_terms
 from .syntax import ParseError, parse_element
@@ -77,9 +77,7 @@ class SymmetricRelation:
 
 # op name -> (generator for the identity order, generator for the swapped
 # order, sign picked up by the swap)
-Action = Mapping[str, tuple[str, str, int]]
-
-GD_ACTION: Action = {CIRC: ("x", "y", 1), BR: ("z", "z", -1)}
+GD_ACTION = {CIRC: ("x", "y", 1), BR: ("z", "z", -1)}
 
 
 def _permute_term(term: Term, perm: dict[int, int]) -> Term:
@@ -89,7 +87,7 @@ def _permute_term(term: Term, perm: dict[int, int]) -> Term:
     return (op, _permute_term(a, perm), _permute_term(b, perm))
 
 
-def convert_term(term: Term, action: Action) -> tuple[int, Tree]:
+def convert_term(term: Term) -> tuple[int, Tree]:
     """Rewrite one symmetric term over the shuffle alphabet.
 
     Returns (sign, shuffle tree with the term's variable indices as leaf
@@ -98,45 +96,44 @@ def convert_term(term: Term, action: Action) -> tuple[int, Tree]:
     if isinstance(term, int):
         return 1, leaf(term)
     op, a, b = term
-    if op not in action:
+    if op not in GD_ACTION:
         raise TreeError(f"operation {op!r} missing from the action dictionary")
-    straight, swapped, swap_sign = action[op]
-    sa, ta = convert_term(a, action)
-    sb, tb = convert_term(b, action)
+    straight, swapped, swap_sign = GD_ACTION[op]
+    sa, ta = convert_term(a)
+    sb, tb = convert_term(b)
     sign = sa * sb
     if ta.min_leaf < tb.min_leaf:
         return sign, node(straight, (ta, tb))
     return sign * swap_sign, node(swapped, (tb, ta))
 
 
-def convert_instance(rel: SymmetricRelation, perm: dict[int, int],
-                     action: Action) -> OperadElement:
+def convert_instance(rel: SymmetricRelation,
+                     perm: dict[int, int]) -> OperadElement:
     pairs = []
     for coeff, term in rel.terms:
-        sign, tree = convert_term(_permute_term(term, perm), action)
+        sign, tree = convert_term(_permute_term(term, perm))
         pairs.append((coeff * sign, tree))
     return element_from_terms(pairs, arity=rel.nvars)
 
 
-def shuffle_to_symmetric_term(t: Tree, action: Action = GD_ACTION) -> Term:
+def shuffle_to_symmetric_term(t: Tree) -> Term:
     """Symmetric preimage of a shuffle tree monomial: each generator is
     replaced by its operation symbol with arguments in symmetric order."""
     if t.is_leaf:
         return t.label
-    for op, (straight, swapped, _sign) in action.items():
+    for op, (straight, swapped, _sign) in GD_ACTION.items():
         if t.gen == straight:
             a, b = t.children
-            return (op, shuffle_to_symmetric_term(a, action),
-                    shuffle_to_symmetric_term(b, action))
+            return (op, shuffle_to_symmetric_term(a),
+                    shuffle_to_symmetric_term(b))
         if t.gen == swapped:
             a, b = t.children
-            return (op, shuffle_to_symmetric_term(b, action),
-                    shuffle_to_symmetric_term(a, action))
+            return (op, shuffle_to_symmetric_term(b),
+                    shuffle_to_symmetric_term(a))
     raise TreeError(f"generator {t.gen!r} not covered by the action")
 
 
-def permute_element(e: OperadElement, perm: dict[int, int],
-                    action: Action = GD_ACTION) -> OperadElement:
+def permute_element(e: OperadElement, perm: dict[int, int]) -> OperadElement:
     """The symmetric-group action on a shuffle element.
 
     Shuffle trees forget the symmetric structure, so relabeling leaves must
@@ -145,25 +142,22 @@ def permute_element(e: OperadElement, perm: dict[int, int],
     """
     acc: dict[Tree, Fraction] = {}
     for t, c in e.terms.items():
-        term = _permute_term(shuffle_to_symmetric_term(t, action), perm)
-        sign, tree = convert_term(term, action)
+        term = _permute_term(shuffle_to_symmetric_term(t), perm)
+        sign, tree = convert_term(term)
         add_term(acc, tree, c * sign)
     return OperadElement(acc, e.arity)
 
 
-def symmetric_to_shuffle(rel: SymmetricRelation, action: Action = GD_ACTION,
-                         order: TreeOrder | None = None) -> list[OperadElement]:
+def symmetric_to_shuffle(rel: SymmetricRelation) -> list[OperadElement]:
     """The full orbit of the identity under leaf permutations, each instance
     rewritten over the shuffle alphabet, deduplicated up to a scalar (monic
-    normalization in the given order)."""
-    if order is None:
-        names = _action_gen_names(action)
-        order = order_for("pathlex", names)
+    normalization in the pathlex order on x, y, z)."""
+    order = order_for("pathlex", ("x", "y", "z"))
     out: list[OperadElement] = []
     seen: set = set()
     for sigma in permutations(range(1, rel.nvars + 1)):
         perm = {i + 1: sigma[i] for i in range(rel.nvars)}
-        elem = convert_instance(rel, perm, action)
+        elem = convert_instance(rel, perm)
         if elem.is_zero():
             continue
         canon = elem.monic(order)
@@ -172,17 +166,6 @@ def symmetric_to_shuffle(rel: SymmetricRelation, action: Action = GD_ACTION,
         seen.add(canon)
         out.append(canon)
     return out
-
-
-def _action_gen_names(action: Action) -> list[str]:
-    names: list[str] = []
-    for straight, swapped, _sign in action.values():
-        for n in (straight, swapped):
-            if n not in names:
-                names.append(n)
-    # keep the conventional declaration order when it applies
-    conventional = [n for n in ("x", "y", "z") if n in names]
-    return conventional + [n for n in names if n not in conventional]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +315,7 @@ NAMED_IDENTITIES: dict[str, SymmetricRelation] = {
 
 def shuffle_images(identity_name: str) -> list[OperadElement]:
     """Shuffle orbit of a named identity over the x,y,z alphabet."""
-    return symmetric_to_shuffle(NAMED_IDENTITIES[identity_name], GD_ACTION)
+    return symmetric_to_shuffle(NAMED_IDENTITIES[identity_name])
 
 
 # -- converted relation fixtures ----------------------------------------------

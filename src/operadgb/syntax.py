@@ -104,18 +104,18 @@ def _gen_map(gens: Sequence[GeneratorSymbol]) -> dict[str, int]:
 
 
 def parse_monomial(text: str, gens: Sequence[GeneratorSymbol],
-                   line: int = 1, require_complete: bool = True) -> Tree:
+                   line: int = 1) -> Tree:
     tokens = _Tokens(text, line)
     t = _parse_tree(tokens, _gen_map(gens))
     if tokens.peek() is not None:
         raise tokens.error("trailing input after monomial")
-    if require_complete and not is_complete(t):
+    if not is_complete(t):
         raise ParseError(f"leaf labels must be exactly 1..{t.arity}", line, 1)
     return t
 
 
 def parse_element(text: str, gens: Sequence[GeneratorSymbol],
-                  line: int = 1, require_complete: bool = True) -> OperadElement:
+                  line: int = 1) -> OperadElement:
     """Parse a signed combination of monomials.
 
     Coefficients are optional integers or rationals (``3/2``), attached with
@@ -156,7 +156,7 @@ def parse_element(text: str, gens: Sequence[GeneratorSymbol],
                 if tok3 is not None and tok3[1] == "*":
                     tokens.next()
         t = _parse_tree(tokens, gmap)
-        if require_complete and not is_complete(t):
+        if not is_complete(t):
             raise ParseError(f"leaf labels must be exactly 1..{t.arity}",
                              tokens.line, 1)
         if arity is None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, count, product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 
 class TreeError(ValueError):
@@ -265,49 +265,34 @@ def order_for(order_id: str, gen_names: Sequence[str]) -> TreeOrder:
 # occurrences (divisibility), grafting and substitution
 # ---------------------------------------------------------------------------
 
-class Occurrence:
+class Occurrence(NamedTuple):
     """An embedding of a pattern monomial as a divisor of a host monomial.
 
     ``path`` locates the top vertex of the embedded pattern; ``slots`` maps
     the pattern leaves (in increasing label order) to the host subtrees that
-    hang off the pattern's boundary; ``vertices`` is the set of host vertex
-    paths covered by the pattern.
+    hang off the pattern's boundary.
     """
 
-    __slots__ = ("path", "slots", "vertices")
-
-    def __init__(self, path: tuple[int, ...], slots: tuple[Tree, ...],
-                 vertices: frozenset):
-        self.path = path
-        self.slots = slots
-        self.vertices = vertices
+    path: tuple[int, ...]
+    slots: tuple[Tree, ...]
 
     def __repr__(self) -> str:
         return f"Occurrence(path={self.path}, slots={[str(s) for s in self.slots]})"
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Occurrence) and self.path == other.path
-                and self.slots == other.slots)
-
-    def __hash__(self) -> int:
-        return hash((self.path, self.slots))
 
     def leaf_map(self, pattern: Tree) -> dict[int, Tree]:
         """Pattern leaf label -> host subtree at that slot."""
         return dict(zip(pattern.leaves, self.slots))
 
 
-def _match_at(pattern: Tree, sub: Tree, path: tuple[int, ...],
-              slots: dict[int, Tree], vertices: list) -> bool:
+def _match_at(pattern: Tree, sub: Tree, slots: dict[int, Tree]) -> bool:
     if pattern.is_leaf:
         slots[pattern.label] = sub
         return True
     if sub.is_leaf or pattern.gen != sub.gen \
             or len(pattern.children) != len(sub.children):
         return False
-    vertices.append(path)
-    for i, (pc, sc) in enumerate(zip(pattern.children, sub.children)):
-        if not _match_at(pc, sc, path + (i,), slots, vertices):
+    for pc, sc in zip(pattern.children, sub.children):
+        if not _match_at(pc, sc, slots):
             return False
     return True
 
@@ -323,8 +308,7 @@ def occurrence_at(pattern: Tree, host: Tree, path: tuple[int, ...]) -> Occurrenc
     if sub.is_leaf:
         return None
     slots: dict[int, Tree] = {}
-    vertices: list = []
-    if not _match_at(pattern, sub, path, slots, vertices):
+    if not _match_at(pattern, sub, slots):
         return None
     prev = 0
     ordered = []
@@ -334,7 +318,7 @@ def occurrence_at(pattern: Tree, host: Tree, path: tuple[int, ...]) -> Occurrenc
             return None
         prev = s.min_leaf
         ordered.append(s)
-    return Occurrence(path, tuple(ordered), frozenset(vertices))
+    return Occurrence(path, tuple(ordered))
 
 
 def find_occurrences(pattern: Tree, host: Tree) -> list[Occurrence]:

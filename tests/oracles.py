@@ -131,6 +131,11 @@ def worklist_normal_form(ctx, poly: dict) -> dict:
     return out
 
 
+def covered(pattern, occ) -> set:
+    """The host vertex paths covered by an occurrence of ``pattern``."""
+    return {occ.path + q for q in iter_positions(pattern)}
+
+
 def scanned_overlaps(reducer, K: int, gens):
     """The overlaps of ``groebner.overlaps`` by brute force, as the same
     ``(m, r1, occ1, r2, occ2)`` tuples: extend each lead of arity below K
@@ -143,12 +148,14 @@ def scanned_overlaps(reducer, K: int, gens):
             continue
         for m, occ1 in extensions(r1.lead, K, gens):
             allv = frozenset(iter_positions(m))
+            v1 = covered(r1.lead, occ1)
             for r2, occ2 in reducer.occurrences(m):
                 if r2 is r1 and occ2.path == occ1.path:
                     continue
-                if not (occ1.vertices & occ2.vertices):
+                v2 = covered(r2.lead, occ2)
+                if not (v1 & v2):
                     continue
-                if (occ1.vertices | occ2.vertices) != allv:
+                if (v1 | v2) != allv:
                     continue
                 pair_key = (m,) + tuple(sorted(((r1.rid, occ1.path),
                                                 (r2.rid, occ2.path))))

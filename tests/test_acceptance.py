@@ -34,7 +34,6 @@ from operadgb.gdmodels import (
 from operadgb.groebner import buchberger, reduce_element, reduce_random
 from operadgb.hilbert import count_normal_monomials
 from operadgb.presentation import (
-    GD_ACTION,
     JACOBI,
     JACOBI_RELATION_LINE,
     LEFT_SYMMETRY,
@@ -113,7 +112,7 @@ def test_criterion_3_ideal_membership(gd4, wsgd5):
         residues = [reduce_element(e, gd4) for e in images]
         assert any(not r.is_zero() for r in residues), name
         inst = convert_instance(BUILTINS and _named(name),
-                                {i: i for i in range(1, 5)}, GD_ACTION)
+                                {i: i for i in range(1, 5)})
         assert not reduce_element(inst, gd4).is_zero()
     report("3: spec3/4/5 = 0 mod wsgd; spec1/2 != 0 mod gd  PASS")
 
@@ -171,8 +170,8 @@ def test_criterion_5_critical_pair_rederivation(gd4, wsgd5, gd5):
     # the residues generate exactly the Spec1+Spec2 identity space (rank 10
     # as a subspace of the 140-dimensional quotient at arity 4), and the
     # greedy filtration re-derives exactly two independent identities
-    spec1 = convert_instance(SPECIAL_1, {i: i for i in range(1, 5)}, GD_ACTION)
-    spec2 = convert_instance(SPECIAL_2, {i: i for i in range(1, 5)}, GD_ACTION)
+    spec1 = convert_instance(SPECIAL_1, {i: i for i in range(1, 5)})
+    spec2 = convert_instance(SPECIAL_2, {i: i for i in range(1, 5)})
     span_specs = orbit_pivots([spec1, spec2], gd4)
     span_res = orbit_pivots(nonzero, gd4)
     span_both = orbit_pivots(nonzero + [spec1, spec2], gd4)
@@ -249,12 +248,12 @@ def test_criterion_8_parser_golden(gd4):
         assert parse_element(canonical, gens) == e
         assert format_element(parse_element(canonical, gens), order) == canonical
     canon = lambda line: parse_element(line, gens).monic(order)
-    got_nov = (symmetric_to_shuffle(LEFT_SYMMETRY, GD_ACTION)
-               + symmetric_to_shuffle(RIGHT_COMMUTATIVITY, GD_ACTION))
+    got_nov = (symmetric_to_shuffle(LEFT_SYMMETRY)
+               + symmetric_to_shuffle(RIGHT_COMMUTATIVITY))
     assert set(got_nov) == {canon(l) for l in NOVIKOV_RELATION_LINES}
-    got_jac = symmetric_to_shuffle(JACOBI, GD_ACTION)
+    got_jac = symmetric_to_shuffle(JACOBI)
     assert got_jac == [canon(JACOBI_RELATION_LINE)]
-    got_mixed = symmetric_to_shuffle(GD_COMPAT, GD_ACTION)
+    got_mixed = symmetric_to_shuffle(GD_COMPAT)
     assert set(got_mixed) == {canon(l) for l in MIXED_RELATION_LINES}
     report("8: published relation strings parse and round-trip; identity "
            "conversion reproduces the printed lists  PASS")

@@ -1,3 +1,6 @@
+import hashlib
+import os
+
 import pytest
 
 from operadgb.cli import main
@@ -112,6 +115,47 @@ def test_ambiguities_trace(capsys):
                        capsys)
     assert code == 0
     assert "route-1" in out and "->" in out
+
+
+# sha256 of the whole stdout of ``ambiguities``: every critical pair, every
+# rewrite step of both routes and every residue, in order.  No other test
+# pins a whole step line, a residue or the order of a step's terms.
+AMBIGUITIES_SHA256 = {
+    ("3", "gd", True):
+        "876d3762f376680c207445c5c7a7f6f796422e46afe011e2f9d73e7a585b7aa9",
+    ("4", "gd", True):
+        "c5cfd6b7a03b64fc8520235ca28131c97cd66560858c9a83c881ef9d73d6730a",
+    ("4", "wsgd", True):
+        "79b050baf031a42587fe44a352227973ae8bf7732515fa20c01747ef898ed1de",
+    ("5", "wsgd", False):
+        "6431c10166f1a3b42c26cd7655d4a8292ac33deef0d8881ab19b55ee7dd16f34",
+    ("5", "gd", False):
+        "4a8e07d5bdadeff7a63947540927ce49010b483f8affd2fd69325d7e860027a5",
+}
+
+
+def ambiguities_sha256(degree, modulo, trace, capsys):
+    argv = ["ambiguities", "--degree", degree, "--modulo", modulo]
+    code, out, _ = run(argv + ["--emit-trace"] * trace, capsys)
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("degree,modulo", [("3", "gd"), ("4", "gd"),
+                                           ("4", "wsgd")])
+def test_ambiguities_trace_is_pinned(degree, modulo, capsys):
+    assert ambiguities_sha256(degree, modulo, True, capsys) \
+        == AMBIGUITIES_SHA256[degree, modulo, True]
+
+
+@pytest.mark.extended
+@pytest.mark.skipif(os.environ.get("OPERADGB_EXTENDED") != "1",
+                    reason="set OPERADGB_EXTENDED=1 to run")
+@pytest.mark.parametrize("modulo", ["wsgd", "gd"])
+def test_ambiguities_degree5_is_pinned(modulo, capsys):
+    """Degree 5 is the first with P-rules on 4-letter chains."""
+    assert ambiguities_sha256("5", modulo, False, capsys) \
+        == AMBIGUITIES_SHA256["5", modulo, False]
 
 
 def test_check_gd_case3(tmp_path, capsys):

@@ -27,7 +27,6 @@ from operadgb.groebner import (
     reduce_element,
 )
 from operadgb.presentation import (
-    GD_ACTION,
     Presentation,
     SPECIAL_1,
     SPECIAL_2,
@@ -138,7 +137,7 @@ def test_poisson_rule_cooked_matches_known_form(ctx, gd4):
     from operadgb.presentation import C, B as Br
     want_sym = [(1, C(Br(a, b), c)), (1, Br(b, C(a, c)))]
     want = sum((convert_instance(
-        _rel("w", 3, [t]), {1: 1, 2: 2, 3: 3}, GD_ACTION).scale(cc)
+        _rel("w", 3, [t]), {1: 1, 2: 2, 3: 3}).scale(cc)
         for cc, t in [(cc, t) for cc, t in want_sym]),
         start=_zero3())
     assert cooked == reduce_element(want, gd4)
@@ -160,10 +159,8 @@ def test_poisson_rule_cooked_other_orientation(ctx, gd4):
     pm = ctx.make_monomial([(ctx.var_letter(a),), chain])
     cooked = ctx.to_operad(ctx.normal_form(poisson_replacement(ctx, pm)), 3)
     from operadgb.presentation import C, B as Br
-    want = (convert_instance(_rel("w", 3, [C(Br(a, c), b)]), {1: 1, 2: 2, 3: 3},
-                             GD_ACTION)
-            + convert_instance(_rel("w", 3, [Br(c, C(a, b))]), {1: 1, 2: 2, 3: 3},
-                               GD_ACTION))
+    want = (convert_instance(_rel("w", 3, [C(Br(a, c), b)]), {1: 1, 2: 2, 3: 3})
+            + convert_instance(_rel("w", 3, [Br(c, C(a, b))]), {1: 1, 2: 2, 3: 3}))
     assert cooked == reduce_element(want, gd4)
 
 
@@ -192,13 +189,13 @@ def test_normal_form_routes_of_a3_monomial(ctx, gd4):
     perm = {1: a, 2: b, 3: c, 4: d}
     # product-first: (a o b){c,d'} -> [c,(a o b) o d] - [c, a o b] o d
     product_first = ctx.to_operad(ctx.normal_form(ctx.apply(pm, p0)), 4)
-    want1 = (convert_instance(_rel("w", 4, [Br(3, C(C(1, 2), 4))]), perm, GD_ACTION)
-             - convert_instance(_rel("w", 4, [C(Br(3, C(1, 2)), 4)]), perm, GD_ACTION))
+    want1 = (convert_instance(_rel("w", 4, [Br(3, C(C(1, 2), 4))]), perm)
+             - convert_instance(_rel("w", 4, [C(Br(3, C(1, 2)), 4)]), perm))
     assert product_first == reduce_element(want1, gd4)
     # bracket-first: -> [c, a o d] o b + ([a,c] o d) o b
     bracket_first = ctx.to_operad(ctx.normal_form(ctx.apply(pm, pk)), 4)
-    want2 = (convert_instance(_rel("w", 4, [C(Br(3, C(1, 4)), 2)]), perm, GD_ACTION)
-             + convert_instance(_rel("w", 4, [C(C(Br(1, 3), 4), 2)]), perm, GD_ACTION))
+    want2 = (convert_instance(_rel("w", 4, [C(Br(3, C(1, 4)), 2)]), perm)
+             + convert_instance(_rel("w", 4, [C(C(Br(1, 3), 4), 2)]), perm))
     assert bracket_first == reduce_element(want2, gd4)
 
 
@@ -280,8 +277,8 @@ def test_degree4_residue_space_has_rank_two(ctx, gd4):
     nonzero = [r for r in residues if not r.is_zero()]
     piv = orbit_pivots(nonzero, gd4)
     assert len(piv) == 10  # = dim GD(4) - dim wSGD(4)
-    spec1 = convert_instance(SPECIAL_1, {i: i for i in range(1, 5)}, GD_ACTION)
-    spec2 = convert_instance(SPECIAL_2, {i: i for i in range(1, 5)}, GD_ACTION)
+    spec1 = convert_instance(SPECIAL_1, {i: i for i in range(1, 5)})
+    spec2 = convert_instance(SPECIAL_2, {i: i for i in range(1, 5)})
     assert len(orbit_pivots([spec1], gd4)) == 4
     assert len(orbit_pivots([spec2], gd4)) == 6
     assert len(orbit_pivots([spec1, spec2], gd4)) == 10
@@ -328,7 +325,7 @@ def test_a3_residue_is_spec1_instance(ctx, gd4):
     pk = [x for x in apps if x[0] == "P"][0]
     res = ctx.residue(Ambiguity(pm, pk, p0))
     inst = reduce_element(
-        convert_instance(SPECIAL_1, {1: a, 2: b, 3: c, 4: d}, GD_ACTION), gd4)
+        convert_instance(SPECIAL_1, {1: a, 2: b, 3: c, 4: d}), gd4)
     assert res == inst or res == inst.scale(-1)
 
 

@@ -32,7 +32,7 @@ from operadgb.trees import (
     order_for,
 )
 
-from oracles import quotient_dimension, scanned_overlaps
+from oracles import covered, quotient_dimension, scanned_overlaps
 
 BUILTINS = builtin_presentations()
 
@@ -68,8 +68,7 @@ def s_polynomials(r1, r2, max_arity, basis):
     rules = [r1] if r1 is r2 else [r1, r2]
     out = []
     for K in range(max(r1.arity, r2.arity), max_arity + 1):
-        for m, a, o1, b, o2 in overlaps(_Reducer(rules, basis.order), K,
-                                        basis.generators):
+        for m, a, o1, b, o2 in overlaps(_Reducer(rules, basis.order), K):
             if {a.rid, b.rid} == {r1.rid, r2.rid}:
                 out.append(_spoly(m, a, o1, b, o2))
     return out
@@ -271,7 +270,7 @@ def test_echelon_independent_of_input_order(gd4):
     rules3 = [r for r in gd4.rules if r.arity == 3]
     reducer = _Reducer(rules3, order)
     vectors = [reducer.nf_terms(s.terms)
-               for s in _stratum_spolys(reducer, 4, gd4.generators)]
+               for s in _stratum_spolys(reducer, 4)]
     vectors = [v for v in vectors if v]
     pivots = _echelon(vectors, order)
     assert set(pivots) == {r.lead for r in gd4.rules if r.arity == 4}
@@ -352,15 +351,16 @@ def assert_overlaps_match_scan(basis, K):
         return [(m, frozenset({(r1.rid, o1.path), (r2.rid, o2.path)}))
                 for m, r1, o1, r2, o2 in found]
 
-    found = list(overlaps(reducer, K, basis.generators))
+    found = list(overlaps(reducer, K))
     got = keys(found)
     assert len(set(got)) == len(got)
     assert set(got) == set(keys(scanned_overlaps(reducer, K,
                                                  basis.generators)))
     for m, r1, o1, r2, o2 in found:
         assert m.arity == K
-        assert o1.vertices & o2.vertices
-        assert o1.vertices | o2.vertices == set(iter_positions(m))
+        v1, v2 = covered(r1.lead, o1), covered(r2.lead, o2)
+        assert v1 & v2
+        assert v1 | v2 == set(iter_positions(m))
     return len(got)
 
 

@@ -5,7 +5,6 @@ operads."""
 import pytest
 
 from operadgb.presentation import (
-    GD_ACTION,
     JACOBI,
     JACOBI_RELATION_LINE,
     LEFT_SYMMETRY,
@@ -97,20 +96,20 @@ def test_roundtrip_canonical_stability():
 
 
 def test_novikov_conversion_matches_published_list():
-    got = (symmetric_to_shuffle(LEFT_SYMMETRY, GD_ACTION)
-           + symmetric_to_shuffle(RIGHT_COMMUTATIVITY, GD_ACTION))
+    got = (symmetric_to_shuffle(LEFT_SYMMETRY)
+           + symmetric_to_shuffle(RIGHT_COMMUTATIVITY))
     assert len(got) == 6
     assert set(got) == canon_set(NOVIKOV_RELATION_LINES)
 
 
 def test_jacobi_orbit_collapses_to_one_relation():
-    got = symmetric_to_shuffle(JACOBI, GD_ACTION)
+    got = symmetric_to_shuffle(JACOBI)
     assert len(got) == 1
     assert got[0] == canon(JACOBI_RELATION_LINE)
 
 
 def test_gd_compat_orbit_matches_published_list():
-    got = symmetric_to_shuffle(GD_COMPAT, GD_ACTION)
+    got = symmetric_to_shuffle(GD_COMPAT)
     assert len(got) == 3
     assert set(got) == canon_set(MIXED_RELATION_LINES)
 
@@ -123,8 +122,8 @@ def test_special_orbits_generate_the_published_ideal():
     base = len(piv)
     paper = [parse_element(l, GD.generators)
              for l in SPECIAL1_RELATION_LINES + SPECIAL2_RELATION_LINES]
-    mine = (symmetric_to_shuffle(SPECIAL_1, GD_ACTION)
-            + symmetric_to_shuffle(SPECIAL_2, GD_ACTION))
+    mine = (symmetric_to_shuffle(SPECIAL_1)
+            + symmetric_to_shuffle(SPECIAL_2))
     r_paper, _ = span_rank(paper, ORDER, piv)
     r_mine, _ = span_rank(mine, ORDER, piv)
     r_both, _ = span_rank(paper + mine, ORDER, piv)
