@@ -26,6 +26,7 @@ from .diffpoisson import (
     independent_identities,
 )
 from .gdmodels import (
+    CASE1_ORDER,
     CheckReport,
     GDModelError,
     GDTable,
@@ -78,8 +79,7 @@ def _load_presentation(args: argparse.Namespace):
         return parse_presentation(fh.read())
 
 
-def cmd_gb(args: argparse.Namespace, out=None) -> int:
-    out = out or sys.stdout
+def cmd_gb(args: argparse.Namespace) -> int:
     p = _load_presentation(args)
     if args.max_arity < p.max_relation_arity:
         raise BudgetExceededError(
@@ -89,34 +89,30 @@ def cmd_gb(args: argparse.Namespace, out=None) -> int:
         raise BudgetExceededError(
             f"arity {args.max_arity} exceeds the default budget "
             f"{CI_ARITY_BUDGET}; pass --extended to allow it")
-    basis = buchberger(p, args.max_arity, args.order_id,
-                       progress=lambda msg: print(msg, file=out))
+    basis = buchberger(p, args.max_arity, args.order_id, progress=print)
     print(f"completed {p.name} up to arity {args.max_arity} "
-          f"under order {args.order_id}", file=out)
+          f"under order {args.order_id}")
     for arity, count in sorted(basis.rule_counts().items()):
-        print(f"  arity {arity}: {count} rules", file=out)
+        print(f"  arity {arity}: {count} rules")
     if args.output_path:
         save_basis(basis, args.output_path)
-        print(f"basis written to {args.output_path}", file=out)
+        print(f"basis written to {args.output_path}")
     return EXIT_OK
 
 
-def cmd_dims(args: argparse.Namespace, out=None) -> int:
-    out = out or sys.stdout
+def cmd_dims(args: argparse.Namespace) -> int:
     basis = load_basis(args.basis_path)
-    up_to = args.max_arity if args.max_arity else basis.max_arity
-    up_to = min(up_to, basis.max_arity)
-    table = emit_table(basis, up_to)
-    print(table.as_text(), file=out)
+    table = emit_table(basis, min(args.max_arity or basis.max_arity,
+                                  basis.max_arity))
+    print(table.as_text())
     if args.output_path:
         with open(args.output_path, "w", encoding="utf-8") as fh:
             fh.write(table.as_rows() + "\n")
-        print(f"rows written to {args.output_path}", file=out)
+        print(f"rows written to {args.output_path}")
     return EXIT_OK
 
 
-def cmd_reduce(args: argparse.Namespace, out=None) -> int:
-    out = out or sys.stdout
+def cmd_reduce(args: argparse.Namespace) -> int:
     basis = load_basis(args.basis_path)
     if args.order_id and args.order_id != basis.order_id:
         raise OrderMismatchError(
@@ -141,25 +137,26 @@ def cmd_reduce(args: argparse.Namespace, out=None) -> int:
         nf = reduce_element(e, basis)
         tag = f"{label}[{i}]" if len(elems) > 1 else label
         if nf.is_zero():
-            print(f"{tag}: 0", file=out)
+            print(f"{tag}: 0")
         else:
             all_zero = False
-            print(f"{tag}: {format_element(nf, basis.order)}", file=out)
+            print(f"{tag}: {format_element(nf, basis.order)}")
     return EXIT_OK if all_zero else EXIT_NONZERO
 
 
-def cmd_ambiguities(args: argparse.Namespace, out=None) -> int:
-    out = out or sys.stdout
+def cmd_ambiguities(args: argparse.Namespace) -> int:
     n = args.degree
     if n > CI_ARITY_BUDGET and not args.extended:
         raise BudgetExceededError(
             f"degree {n} exceeds the default budget; pass --extended")
     builtins = builtin_presentations()
-    if args.modulo not in ("gd", "wsgd"):
-        raise ParseError(f"--modulo must be gd or wsgd, got {args.modulo!r}", 0, 0)
     gd_basis = buchberger(builtins["gd"], n)
-    modulo_basis = gd_basis if args.modulo == "gd" \
-        else buchberger(builtins["wsgd"], n)
+    if args.modulo == "gd":
+        modulo_basis = gd_basis
+    else:
+        # wsgd has arity-4 relations; arities <= n do not depend on the top
+        wsgd = builtins["wsgd"]
+        modulo_basis = buchberger(wsgd, max(n, wsgd.max_relation_arity))
     ctx = RewriteContext(gd_basis)
     ambs = ctx.enumerate_ambiguities(n)
     nonzero = 0
@@ -171,65 +168,60 @@ def cmd_ambiguities(args: argparse.Namespace, out=None) -> int:
         fam = f" [{classify_degree4(amb.monomial)}]" if n == 4 else ""
         print(f"ambiguity{fam}: {format_monomial(amb.monomial)}  "
               f"{describe_app(amb.monomial, amb.app1)} vs "
-              f"{describe_app(amb.monomial, amb.app2)}", file=out)
+              f"{describe_app(amb.monomial, amb.app2)}")
         if args.emit_trace:
             for route, app in (("route-1", amb.app1), ("route-2", amb.app2)):
-                print(f"  {route}:", file=out)
+                print(f"  {route}:")
                 for line in ctx.trace(ctx.apply(amb.monomial, app)):
-                    print(f"    {line}", file=out)
+                    print(f"    {line}")
         if res.is_zero():
-            print("  residue: 0", file=out)
+            print("  residue: 0")
         else:
             nonzero += 1
-            print(f"  residue: {format_element(res, gd_basis.order)}", file=out)
+            print(f"  residue: {format_element(res, gd_basis.order)}")
     print(f"{len(ambs)} critical pairs at degree {n}; "
-          f"{nonzero} nonzero residues modulo {args.modulo}", file=out)
+          f"{nonzero} nonzero residues modulo {args.modulo}")
     if args.modulo == "gd":
         found = independent_identities(residues, gd_basis)
-        print(f"independent special identities found: {len(found)}", file=out)
+        print(f"independent special identities found: {len(found)}")
     return EXIT_OK
 
 
-def cmd_check_gd(args: argparse.Namespace, out=None) -> int:
-    out = out or sys.stdout
+def cmd_check_gd(args: argparse.Namespace) -> int:
     with open(args.input_path, encoding="utf-8") as fh:
         table = GDTable.parse(fh.read())
     report = check_gd_axioms(table)
-    print(report.as_text(), file=out)
+    print(report.as_text())
     if not report.passed:
-        print("axioms fail; no classification", file=out)
+        print("axioms fail; no classification")
         return EXIT_NONZERO
     if table.dim != 2:
-        print("axioms pass (classification implemented for dimension 2)",
-              file=out)
+        print("axioms pass (classification implemented for dimension 2)")
         return EXIT_OK
     cls = classify_2dim(table)
-    print(f"classification: {cls}", file=out)
+    print(f"classification: {cls}")
     if cls.case == "case1":
-        ok = case1_check(cls, max_order=3)
+        ok = case1_check(cls)
         print("case-1 bracket construction "
               + ("verified (Jacobi and derivation compatibility close "
-                 "at derivative order 3)" if ok else "FAILED"), file=out)
+                 f"at derivative order {CASE1_ORDER})" if ok else "FAILED"))
         return EXIT_OK if ok else EXIT_NONZERO
-    if cls.case == "case2":
+    if cls.case in ("case2", "case3"):
+        if cls.case == "case2":
+            model, env = case2_table(cls.alpha), case2_envelope(cls.alpha)
+        else:
+            model, env = case3_table(), case3_envelope()
         rep = CheckReport()
-        ok = verify_embedding(case2_table(cls.alpha),
-                              case2_envelope(cls.alpha), 6, rep)
-        print(rep.as_text(), file=out)
-        print("embedding " + ("verified" if ok else "FAILED"), file=out)
-        return EXIT_OK if ok else EXIT_NONZERO
-    if cls.case == "case3":
-        rep = CheckReport()
-        ok = verify_embedding(case3_table(), case3_envelope(), 6, rep)
-        print(rep.as_text(), file=out)
-        print("embedding " + ("verified" if ok else "FAILED"), file=out)
+        ok = verify_embedding(model, env, rep)
+        print(rep.as_text())
+        print("embedding " + ("verified" if ok else "FAILED"))
         return EXIT_OK if ok else EXIT_NONZERO
     if cls.case == "novikov":
         print("pure Novikov algebra: embeds in its differential "
-              "commutative envelope with the trivial bracket", file=out)
+              "commutative envelope with the trivial bracket")
     else:
         print("pure Lie algebra: embeds in the graded Poisson algebra of "
-              "its associative envelope with the zero derivation", file=out)
+              "its associative envelope with the zero derivation")
     return EXIT_OK
 
 
@@ -241,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     gb = sub.add_parser("gb", help="complete a presentation")
+    gb.set_defaults(handler=cmd_gb)
     gb.add_argument("--preset", help="builtin presentation name")
     gb.add_argument("--input", dest="input_path", help="presentation file")
     gb.add_argument("--max-arity", type=int, default=CI_ARITY_BUDGET)
@@ -251,12 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="allow computations beyond the default budget")
 
     dims = sub.add_parser("dims", help="dimension table of a saved basis")
+    dims.set_defaults(handler=cmd_dims)
     dims.add_argument("--basis", dest="basis_path", required=True)
     dims.add_argument("--up-to", dest="max_arity", type=int, default=0)
     dims.add_argument("-o", "--output", dest="output_path",
                       help="also write machine-readable n,dim rows")
 
     red = sub.add_parser("reduce", help="normal form modulo a saved basis")
+    red.set_defaults(handler=cmd_reduce)
     red.add_argument("--basis", dest="basis_path", required=True)
     red.add_argument("--input", dest="input_path",
                      help="file with one element per line")
@@ -267,6 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     amb = sub.add_parser("ambiguities",
                          help="critical pairs of the rewriting system")
+    amb.set_defaults(handler=cmd_ambiguities)
     amb.add_argument("--degree", type=int, required=True)
     amb.add_argument("--modulo", default="gd", choices=("gd", "wsgd"))
     amb.add_argument("--emit-trace", action="store_true")
@@ -274,21 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check-gd", help="axioms and classification of a "
                                           "structure-constant table")
+    chk.set_defaults(handler=cmd_check_gd)
     chk.add_argument("input_path", metavar="table-file")
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "gb": cmd_gb,
-        "dims": cmd_dims,
-        "reduce": cmd_reduce,
-        "ambiguities": cmd_ambiguities,
-        "check-gd": cmd_check_gd,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -1,10 +1,9 @@
 """Small exact commutative polynomial engine.
 
 Used for the finite-dimensional envelope checks: Groebner verification of
-commutative relation sets, Leibniz extension of brackets and derivations
-from generators, and concrete differential Poisson models that back the
-soundness tests of the rewriting engine.  Variables are arbitrary sortable
-hashables; monomials are sorted exponent tuples; the order is degree-lex.
+commutative relation sets and Leibniz extension of brackets and derivations
+from generators.  Variables are arbitrary sortable hashables; monomials are
+sorted exponent tuples; the order is degree-lex.
 """
 
 from __future__ import annotations
@@ -129,11 +128,6 @@ class Poly:
     def lc(self) -> Fraction:
         return self.terms[self.lm()]
 
-    def monic(self) -> "Poly":
-        if not self.terms:
-            return self
-        return self.scale(Fraction(1) / self.lc())
-
     def diff(self, v) -> "Poly":
         acc: dict[Mono, Fraction] = {}
         for m, c in self.terms.items():
@@ -145,9 +139,6 @@ class Poly:
             key = tuple(sorted((w, x) for w, x in md.items() if x))
             add_term(acc, key, c * e)
         return Poly(acc)
-
-    def degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -230,37 +221,3 @@ def normal_monomials_up_to(basis: Sequence[Poly], variables: Sequence,
         out.extend(nxt)
         frontier = nxt
     return out
-
-
-class PoissonModel:
-    """A concrete differential Poisson algebra on polynomials.
-
-    The bracket is the canonical symplectic one on pairs (x_i, p_i) and the
-    derivation is Hamiltonian, d = {h, .}, so it automatically respects both
-    the product and the bracket.  Used as an independent soundness oracle
-    for rewriting rules: any identity of differential Poisson algebras must
-    evaluate to zero here.
-    """
-
-    def __init__(self, npairs: int, h: Poly):
-        self.npairs = npairs
-        self.h = h
-        self.xs = [("x", i) for i in range(npairs)]
-        self.ps = [("p", i) for i in range(npairs)]
-
-    def bracket(self, f: Poly, g: Poly) -> Poly:
-        acc = ZERO
-        for x, p in zip(self.xs, self.ps):
-            acc = acc + self.diff_wrt(f, x) * self.diff_wrt(g, p) \
-                - self.diff_wrt(f, p) * self.diff_wrt(g, x)
-        return acc
-
-    @staticmethod
-    def diff_wrt(f: Poly, v) -> Poly:
-        return f.diff(v)
-
-    def d(self, f: Poly) -> Poly:
-        return self.bracket(self.h, f)
-
-    def circ(self, f: Poly, g: Poly) -> Poly:
-        return f * self.d(g)

@@ -2,9 +2,10 @@
 
 The carrier is the symmetric algebra on the free Lie algebra over derived
 letters b^(n), where b runs over multilinear normal monomials exported by
-the Groebner engine.  Weight-(-1) multilinear monomials rewrite, by the two
-ideal-generated rule families below, down to plain GD expressions; critical
-pairs of the rewriting surface exactly the special identities.
+the Groebner engine.  Weight-(-1) multilinear monomials (a letter b^(n)
+weighs n - 1 and a bracket 1) rewrite, by the two ideal-generated rule
+families below, down to plain GD expressions; critical pairs of the
+rewriting surface exactly the special identities.
 
 Lie factors are stored as right-nested bracket chains {g1,{g2,...{u,v}...}}
 with the innermost pair ordered largest letter first (sign absorbed into
@@ -47,13 +48,12 @@ from .elements import (
     reduce_row,
 )
 from .groebner import GroebnerBasis, reduce_element
-from .presentation import permute_element
+from .presentation import BR, CIRC, convert_term, permute_element
 from .trees import (
     Tree,
     compositions,
     leaf,
     min_increasing_blocks,
-    node,
     relabel_ordered,
 )
 
@@ -91,14 +91,6 @@ PMonomial = tuple  # tuple[Chain, ...], sorted commutative product
 # ("L", ci) | ("P", ai, ci, flip) | ("P0", ai, ci), the P-rule on a one-letter
 # chain, applied with flip 0
 App = tuple
-
-
-def chain_weight(c: Chain) -> int:
-    return sum(l.order - 1 for l in c) + len(c) - 1
-
-
-def monomial_weight(pm: PMonomial) -> int:
-    return sum(chain_weight(c) for c in pm)
 
 
 def monomial_degree(pm: PMonomial) -> int:
@@ -206,8 +198,10 @@ class RewriteContext:
 
     # -- GD arithmetic on basis letters -------------------------------------
 
-    def _compose(self, b1: BasisElem, b2: BasisElem, bracket: bool) \
+    def compose(self, b1: BasisElem, b2: BasisElem, bracket: bool) \
             -> dict[BasisElem, Fraction]:
+        """The normal form of b1 o b2, or of {b1, b2} when ``bracket``, as
+        a combination of basis letters."""
         cache = self._bracket if bracket else self._circ
         hit = cache.get((b1, b2))
         if hit is not None:
@@ -218,25 +212,11 @@ class RewriteContext:
         pos = {v: i + 1 for i, v in enumerate(union)}
         t1 = relabel_ordered(b1.tree, [pos[v] for v in b1.vars])
         t2 = relabel_ordered(b2.tree, [pos[v] for v in b2.vars])
-        sign = 1
-        if b1.vars[0] < b2.vars[0]:
-            gen = "z" if bracket else "x"
-            tree = node(gen, (t1, t2))
-        else:
-            gen = "z" if bracket else "y"
-            tree = node(gen, (t2, t1))
-            if bracket:
-                sign = -1
+        sign, tree = convert_term((BR if bracket else CIRC, t1, t2))
         nf = reduce_element(OperadElement.monomial(tree, sign), self.basis)
         result = {self.base(t, union): c for t, c in nf.terms.items()}
         cache[(b1, b2)] = result
         return result
-
-    def circ_pair(self, b1: BasisElem, b2: BasisElem) -> dict[BasisElem, Fraction]:
-        return self._compose(b1, b2, bracket=False)
-
-    def bracket_pair(self, b1: BasisElem, b2: BasisElem) -> dict[BasisElem, Fraction]:
-        return self._compose(b1, b2, bracket=True)
 
     # -- rule applications ---------------------------------------------------
 
@@ -298,7 +278,7 @@ class RewriteContext:
         prefix = chain[:-2]
         a, b, n = u.base, v.base, v.order
         acc: dict[PMonomial, Fraction] = {}
-        for beta, cb in self.bracket_pair(a, b).items():
+        for beta, cb in self.compose(a, b, bracket=True).items():
             self._emit(acc, pm, (ci,), [prefix + (Letter(beta, n),)], cb)
         for i in range(1, n + 1):
             self._emit(acc, pm, (ci,),
@@ -324,7 +304,8 @@ class RewriteContext:
         dropped = (ai, ci)
         acc: dict[PMonomial, Fraction] = {}
         # {g_1,...,{g_k, (alpha o beta)^(n-1)}}
-        for delta, cd in self.circ_pair(alpha.base, blet.base).items():
+        for delta, cd in self.compose(alpha.base, blet.base,
+                                         bracket=False).items():
             self._emit(acc, pm, dropped, [interior + (Letter(delta, n - 1),)],
                        sgn * cd)
         # - sum_i C(n-1,i) {g_1,...,{g_k, alpha^(i) beta^(n-i)}}, expanded
@@ -547,18 +528,6 @@ def classify_degree4(pm: PMonomial) -> str:
         if orders == [0, 1]:
             return "A3"
     raise DiffPoissonError(f"unrecognized degree-4 shape: {format_monomial(pm)}")
-
-
-def family_signature(pm: PMonomial) -> tuple:
-    """Shape of a monomial up to renaming letters and flipping innermost
-    brackets: the multiset of (chain length, derivative placements)."""
-    sigs = []
-    for c in pm:
-        orders = tuple(l.order for l in c)
-        if len(orders) >= 2:
-            orders = orders[:-2] + tuple(sorted(orders[-2:], reverse=True))
-        sigs.append((len(c), orders))
-    return tuple(sorted(sigs))
 
 
 # ---------------------------------------------------------------------------

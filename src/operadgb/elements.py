@@ -135,14 +135,6 @@ class OperadElement:
         return self.scale(Fraction(1) / lc)
 
 
-def element_from_terms(pairs: Iterable[tuple[Fraction | int, Tree]],
-                       arity: int | None = None) -> OperadElement:
-    acc: dict[Tree, Fraction] = {}
-    for c, t in pairs:
-        add_term(acc, t, Fraction(c))
-    return OperadElement(acc, arity)
-
-
 # ---------------------------------------------------------------------------
 # shuffle composition and grafting
 # ---------------------------------------------------------------------------

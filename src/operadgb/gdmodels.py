@@ -372,11 +372,14 @@ def _derivation_failure(env: EnvelopeSpec, polys: Sequence[Poly],
     return ""
 
 
+TRUNCATION_DEGREE = 6  # of the derivation-bracket compatibility check
+
+
 def verify_embedding(t: GDTable, env: EnvelopeSpec,
-                     truncation_degree: int = 6,
                      report: CheckReport | None = None) -> bool:
-    """Check that the envelope is a differential Poisson algebra (to the
-    stated truncation) and that the embedding preserves the table exactly.
+    """Check that the envelope is a differential Poisson algebra (up to
+    ``TRUNCATION_DEGREE``) and that the embedding preserves the table
+    exactly.
     """
     rep = report if report is not None else CheckReport()
     gens = env.generators
@@ -398,10 +401,10 @@ def verify_embedding(t: GDTable, env: EnvelopeSpec,
     rep.record("jacobi identity", not bad, bad)
     # derivation compatible with the bracket on normal monomials
     normals = [Poly({m: 1}) for m in
-               normal_monomials_up_to(rels, gens, truncation_degree)]
+               normal_monomials_up_to(rels, gens, TRUNCATION_DEGREE)]
     bad = _derivation_failure(env, normals, nf)
     rep.record(
-        f"derivation compatible with bracket (degree <= {truncation_degree})",
+        f"derivation compatible with bracket (degree <= {TRUNCATION_DEGREE})",
         not bad, bad)
 
     # the embedding preserves both products
@@ -458,10 +461,6 @@ def case2_table(alpha: Fraction) -> GDTable:
     return GDTable(2, circ={(0, 0): (1, 0), (0, 1): (0, 1), (1, 0): (0, 1)},
                    bracket={(0, 1): (0, Fraction(1) / alpha),
                             (1, 0): (0, -Fraction(1) / alpha)})
-
-
-CASE3_RELATION_STRINGS = ("uu'-v", "uv'", "vu'", "vv'", "vv",
-                          "u'u'-v'", "u'v'", "v'v'")
 
 
 def case3_envelope() -> EnvelopeSpec:
@@ -532,10 +531,13 @@ def bracket1_check(alpha: Fraction, gamma: Fraction, max_order: int) -> bool:
         env, [Poly.var(g) for g in low], exact))
 
 
-def case1_check(cls: Classification, max_order: int = 3) -> bool:
+CASE1_ORDER = 3  # the derivative order of the case-1 bracket check
+
+
+def case1_check(cls: Classification) -> bool:
     """Case-1 verification of a classified table: :func:`bracket1_check`
     on its (alpha, gamma), i.e. the case-1 bracket construction closes at
-    the requested derivative order."""
+    derivative order ``CASE1_ORDER``."""
     if cls.case != "case1":
         raise GDModelError("not a case-1 classification")
-    return bracket1_check(cls.alpha, cls.gamma, max_order)
+    return bracket1_check(cls.alpha, cls.gamma, CASE1_ORDER)

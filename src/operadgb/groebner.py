@@ -30,6 +30,7 @@ between threads.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -86,9 +87,6 @@ class RewriteRule:
         self.rid = rid
         if tail.arity != self.arity:
             raise GroebnerError("rule tail arity differs from lead arity")
-
-    def as_element(self) -> OperadElement:
-        return OperadElement.monomial(self.lead) - self.tail
 
     def __repr__(self) -> str:
         return f"RewriteRule({self.lead} => ...{len(self.tail)} terms)"
@@ -196,14 +194,8 @@ class GroebnerBasis:
             self._reducer = _Reducer(self.rules, self.order)
         return self._reducer
 
-    def rules_by_arity(self) -> dict[int, list[RewriteRule]]:
-        grouped: dict[int, list[RewriteRule]] = {}
-        for r in self.rules:
-            grouped.setdefault(r.arity, []).append(r)
-        return grouped
-
     def rule_counts(self) -> dict[int, int]:
-        return {a: len(rs) for a, rs in sorted(self.rules_by_arity().items())}
+        return dict(sorted(Counter(r.arity for r in self.rules).items()))
 
     def __repr__(self) -> str:
         return (f"GroebnerBasis({self.presentation_name}, order={self.order_id}, "
@@ -381,7 +373,7 @@ def save_basis(b: GroebnerBasis, path: str) -> None:
         _MAGIC,
         f"presentation: {b.presentation_name}",
         f"order: {b.order_id}",
-        "generators: " + " ".join(f"{g.name}/{g.arity}" for g in b.generators),
+        "generators: " + " ".join(map(str, b.generators)),
         f"max_arity: {b.max_arity}",
         f"rules: {len(rules)}",
     ]

@@ -21,12 +21,13 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from .elements import OperadElement, add_term, element_from_terms
+from .elements import OperadElement, add_term
 from .syntax import ParseError, parse_element
 from .trees import GeneratorSymbol, Tree, TreeError, TreeOrder, leaf, node, order_for
 
 # A symbolic multilinear term: either a variable index (int) or a tuple
-# (op_name, left_term, right_term) over binary operation symbols.
+# (op_name, left_term, right_term) over binary operation symbols;
+# ``convert_term`` also takes a shuffle tree as an operand.
 Term = object
 
 CIRC = "circ"
@@ -91,10 +92,12 @@ def convert_term(term: Term) -> tuple[int, Tree]:
     """Rewrite one symmetric term over the shuffle alphabet.
 
     Returns (sign, shuffle tree with the term's variable indices as leaf
-    labels).
+    labels).  A shuffle tree operand stands for itself.
     """
     if isinstance(term, int):
         return 1, leaf(term)
+    if isinstance(term, Tree):
+        return 1, term
     op, a, b = term
     if op not in GD_ACTION:
         raise TreeError(f"operation {op!r} missing from the action dictionary")
@@ -109,11 +112,11 @@ def convert_term(term: Term) -> tuple[int, Tree]:
 
 def convert_instance(rel: SymmetricRelation,
                      perm: dict[int, int]) -> OperadElement:
-    pairs = []
+    acc: dict[Tree, Fraction] = {}
     for coeff, term in rel.terms:
         sign, tree = convert_term(_permute_term(term, perm))
-        pairs.append((coeff * sign, tree))
-    return element_from_terms(pairs, arity=rel.nvars)
+        add_term(acc, tree, coeff * sign)
+    return OperadElement(acc, rel.nvars)
 
 
 def shuffle_to_symmetric_term(t: Tree) -> Term:
@@ -476,14 +479,3 @@ def _merge_gens(base: Presentation | None, gens: Sequence[GeneratorSymbol],
         merged.append(g)
         names.add(g.name)
     return tuple(merged)
-
-
-def format_presentation(p: Presentation, order: TreeOrder | None = None) -> str:
-    from .syntax import format_element_plain
-    order = order or p.order()
-    lines = [f"operad {p.name}",
-             "generators " + " ".join(f"{g.name}/{g.arity}" for g in p.generators),
-             "relations:"]
-    for rel in p.relations:
-        lines.append(format_element_plain(rel, order))
-    return "\n".join(lines) + "\n"

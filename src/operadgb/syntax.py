@@ -32,7 +32,7 @@ _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
 
 
 class _Tokens:
-    def __init__(self, text: str, line: int = 1):
+    def __init__(self, text: str, line: int):
         self.text = text
         self.line = line
         self.pos = 0
@@ -172,10 +172,6 @@ def parse_element(text: str, gens: Sequence[GeneratorSymbol],
     return OperadElement(acc, arity)
 
 
-def format_coeff(c: Fraction) -> str:
-    return str(c)
-
-
 def format_element(f: OperadElement, order: TreeOrder) -> str:
     """Canonical text: descending monomial order, explicit coefficients."""
     if f.is_zero():
@@ -184,24 +180,9 @@ def format_element(f: OperadElement, order: TreeOrder) -> str:
     for t, c in f.sorted_terms(order):
         mag = abs(c)
         sign = "-" if c < 0 else "+"
-        chunk = f"{format_coeff(mag)}*{t}"
+        chunk = f"{mag}*{t}"
         if not parts:
             parts.append(chunk if c > 0 else f"-{chunk}")
         else:
             parts.append(f"{sign} {chunk}")
-    return " ".join(parts)
-
-
-def format_element_plain(f: OperadElement, order: TreeOrder) -> str:
-    """Fixture-style text: unit coefficients left implicit."""
-    if f.is_zero():
-        return "0"
-    parts: list[str] = []
-    for t, c in f.sorted_terms(order):
-        mag = abs(c)
-        body = str(t) if mag == 1 else f"{format_coeff(mag)} {t}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"{'-' if c < 0 else '+'} {body}")
     return " ".join(parts)

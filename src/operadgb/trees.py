@@ -279,10 +279,6 @@ class Occurrence(NamedTuple):
     def __repr__(self) -> str:
         return f"Occurrence(path={self.path}, slots={[str(s) for s in self.slots]})"
 
-    def leaf_map(self, pattern: Tree) -> dict[int, Tree]:
-        """Pattern leaf label -> host subtree at that slot."""
-        return dict(zip(pattern.leaves, self.slots))
-
 
 def _match_at(pattern: Tree, sub: Tree, slots: dict[int, Tree]) -> bool:
     if pattern.is_leaf:
@@ -384,15 +380,6 @@ def _relabel(t: Tree, mapping: dict[int, int]) -> Tree:
     if t.is_leaf:
         return leaf(mapping[t.label])
     return node(t.gen, [_relabel(c, mapping) for c in t.children])
-
-
-def permute_leaves(t: Tree, mapping: dict[int, int]) -> Tree:
-    """Relabel leaves by an arbitrary bijection and re-normalize planarity."""
-    if t.is_leaf:
-        return leaf(mapping[t.label])
-    kids = [permute_leaves(c, mapping) for c in t.children]
-    kids.sort(key=lambda c: c.min_leaf)
-    return node(t.gen, kids)
 
 
 # ---------------------------------------------------------------------------

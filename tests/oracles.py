@@ -8,12 +8,15 @@ the scan uses the reducer's lead index, which ``test_groebner`` checks
 against trying every rule at every position.
 Differential Poisson normal forms are recomputed by a greatest-first
 worklist that does not share the memoized normal-form engine.
+``PoissonModel`` is a concrete differential Poisson algebra on polynomials,
+in which every identity of differential Poisson algebras evaluates to zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from operadgb.commutative import ZERO, Poly
 from operadgb.elements import OperadElement, shuffle_compose
 from operadgb.presentation import Presentation
 from operadgb.trees import (
@@ -163,3 +166,37 @@ def scanned_overlaps(reducer, K: int, gens):
                     continue
                 seen.add(pair_key)
                 yield m, r1, occ1, r2, occ2
+
+
+class PoissonModel:
+    """A concrete differential Poisson algebra on polynomials.
+
+    The bracket is the canonical symplectic one on pairs (x_i, p_i) and the
+    derivation is Hamiltonian, d = {h, .}, so it automatically respects both
+    the product and the bracket.  Used as an independent soundness oracle
+    for rewriting rules: any identity of differential Poisson algebras must
+    evaluate to zero here.
+    """
+
+    def __init__(self, npairs: int, h: Poly):
+        self.npairs = npairs
+        self.h = h
+        self.xs = [("x", i) for i in range(npairs)]
+        self.ps = [("p", i) for i in range(npairs)]
+
+    def bracket(self, f: Poly, g: Poly) -> Poly:
+        acc = ZERO
+        for x, p in zip(self.xs, self.ps):
+            acc = acc + self.diff_wrt(f, x) * self.diff_wrt(g, p) \
+                - self.diff_wrt(f, p) * self.diff_wrt(g, x)
+        return acc
+
+    @staticmethod
+    def diff_wrt(f: Poly, v) -> Poly:
+        return f.diff(v)
+
+    def d(self, f: Poly) -> Poly:
+        return self.bracket(self.h, f)
+
+    def circ(self, f: Poly, g: Poly) -> Poly:
+        return f * self.d(g)

@@ -213,14 +213,14 @@ def test_criterion_7_theorem2_verification():
     assert check_gd_axioms(t2).passed
     assert classify_2dim(t2).case == "case2"
     rep2 = CheckReport()
-    assert verify_embedding(t2, case2_envelope(3), 6, rep2)
+    assert verify_embedding(t2, case2_envelope(3), rep2)
     # case 3 with the eight-relation Groebner basis, including the
     # derivation-bracket compatibility on normal monomials up to degree 6
     t3 = case3_table()
     assert check_gd_axioms(t3).passed
     assert classify_2dim(t3).case == "case3"
     rep3 = CheckReport()
-    assert verify_embedding(t3, case3_envelope(), 6, rep3)
+    assert verify_embedding(t3, case3_envelope(), rep3)
     assert any("degree <= 6" in name for name, _ok, _w in rep3.checks)
     # case 1 via the bracket construction closing at derivative order 3
     from operadgb.gdmodels import GDTable
@@ -229,7 +229,7 @@ def test_criterion_7_theorem2_verification():
     assert check_gd_axioms(t1).passed
     cls = classify_2dim(t1)
     assert cls.case == "case1"
-    assert case1_check(cls, max_order=3)
+    assert case1_check(cls)
     report("7: case 1 (bracket closure, order 3), case 2 (u->x, v->ex), "
            "case 3 (eight-relation basis, d{f,g} to degree 6)  PASS")
 

@@ -110,6 +110,16 @@ def test_ambiguities_degree4_modulo_wsgd_all_zero(capsys):
     assert "0 nonzero residues modulo wsgd" in out
 
 
+def test_ambiguities_degree3_modulo_wsgd(capsys):
+    """wsgd has arity-4 relations; the degree-3 residues are reduced modulo
+    its completion to arity 4, not refused for a budget never asked for."""
+    code, out, err = run(["ambiguities", "--degree", "3", "--modulo", "wsgd"],
+                         capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith("3 critical pairs at degree 3; "
+                        "0 nonzero residues modulo wsgd\n")
+
+
 def test_ambiguities_trace(capsys):
     code, out, _ = run(["ambiguities", "--degree", "3", "--emit-trace"],
                        capsys)
@@ -156,6 +166,37 @@ def test_ambiguities_degree5_is_pinned(modulo, capsys):
     """Degree 5 is the first with P-rules on 4-letter chains."""
     assert ambiguities_sha256("5", modulo, False, capsys) \
         == AMBIGUITIES_SHA256["5", modulo, False]
+
+
+# sha256 of the basis file ``gb ... -o`` writes and of the stdout of
+# ``dims`` on it, recorded before the unused code in the package was cut
+BASIS_SHA256 = {
+    ("gd", "5"): (
+        "83e3d2028e760df334e09d90c391724dd81e12e978c6d5345fb7da2542fc8728",
+        "34753fb95f2cd3eff17b1d64488a036c17308347ba34ee8cacc95c1bd6215777"),
+    ("wsgd", "5"): (
+        "55d6e5dcb8123817c9d7ed917dc381d88d241c22b1f5bb2e7f577633a846a749",
+        "f022d4d00034314edf1174b449d02ca843d1bb66df22b3a551c6a8b269ac750b"),
+    ("novikov", "6"): (
+        "9a7174847aabe0b6fe3a395343ede2f8017e36fd53b8b4eb9ced559c9c0c4351",
+        "37bcb576583441f717039c3d58b39c31f25573c677b5c394addaabf0c143cc14"),
+    ("lie", "6"): (
+        "0b7f75660f6c1e390bce2a663e3ccbd0360aaaf755a9703e2d7ee5f0fc8f86e8",
+        "dd9e5898acc29bfdfabb8abd13c7c46bbe1fcfbd3af75d6107c9495bbecc4faf"),
+}
+
+
+@pytest.mark.parametrize("preset,arity", sorted(BASIS_SHA256))
+def test_saved_basis_and_dims_are_pinned(preset, arity, tmp_path, capsys):
+    path = tmp_path / f"{preset}{arity}.basis"
+    code, _out, _ = run(["gb", "--preset", preset, "--max-arity", arity,
+                         "--extended", "-o", str(path)], capsys)
+    assert code == 0
+    code, out, _ = run(["dims", "--basis", str(path)], capsys)
+    assert code == 0
+    assert (hashlib.sha256(path.read_bytes()).hexdigest(),
+            hashlib.sha256(out.encode()).hexdigest()) \
+        == BASIS_SHA256[preset, arity]
 
 
 def test_check_gd_case3(tmp_path, capsys):

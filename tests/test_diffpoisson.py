@@ -4,19 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from operadgb.commutative import Poly, PoissonModel, mono
+from operadgb.commutative import Poly, mono
 from operadgb.diffpoisson import (
     Ambiguity,
+    Chain,
     Letter,
+    PMonomial,
     RewriteContext,
     classify_degree4,
     describe_app,
-    family_signature,
     format_monomial,
     independent_identities,
     measure,
     monomial_degree,
-    monomial_weight,
     orbit_pivots,
 )
 from operadgb.elements import OperadElement
@@ -35,7 +35,7 @@ from operadgb.presentation import (
     symmetric_to_shuffle,
 )
 
-from oracles import worklist_normal_form
+from oracles import PoissonModel, worklist_normal_form
 
 BUILTINS = builtin_presentations()
 
@@ -70,6 +70,14 @@ def gd_plus_spec2():
 
 
 # -- weight ------------------------------------------------------------------
+
+def chain_weight(c: Chain) -> int:
+    return sum(l.order - 1 for l in c) + len(c) - 1
+
+
+def monomial_weight(pm: PMonomial) -> int:
+    return sum(chain_weight(c) for c in pm)
+
 
 def test_weight_rules(ctx):
     x = (ctx.var_letter(1),)
@@ -123,7 +131,7 @@ def test_poisson_rule_product_case(ctx):
     a, b = ctx.var_base(1), ctx.var_base(2)
     repl = poisson_replacement(
         ctx, ctx.make_monomial([(Letter(a, 0),), (Letter(b, 1),)]))
-    circ = ctx.circ_pair(a, b)
+    circ = ctx.compose(a, b, bracket=False)
     want = {ctx.make_monomial([(Letter(beta, 0),)]): c for beta, c in circ.items()}
     assert repl == want
 
@@ -171,7 +179,8 @@ def test_normal_form_product_rule(ctx):
     pm = ctx.make_monomial([(ctx.var_letter(1),), (ctx.var_letter(2, 1),)])
     nf = ctx.normal_form({pm: Fraction(1)})
     e = ctx.to_operad(nf, 2)
-    circ = ctx.circ_pair(ctx.var_base(1), ctx.var_base(2))
+    circ = ctx.compose(ctx.var_base(1), ctx.var_base(2),
+                       bracket=False)
     assert e.terms == {b.tree: c for b, c in circ.items()}
 
 
@@ -378,6 +387,18 @@ def _swap_vars_poly(ctx, poly, perm):
         key = ctx.make_monomial(chains)
         out[key] = out.get(key, Fraction(0)) + sign * c
     return {k: v for k, v in out.items() if v}
+
+
+def family_signature(pm: PMonomial) -> tuple:
+    """Shape of a monomial up to renaming letters and flipping innermost
+    brackets: the multiset of (chain length, derivative placements)."""
+    sigs = []
+    for c in pm:
+        orders = tuple(l.order for l in c)
+        if len(orders) >= 2:
+            orders = orders[:-2] + tuple(sorted(orders[-2:], reverse=True))
+        sigs.append((len(c), orders))
+    return tuple(sorted(sigs))
 
 
 def test_degree5_contains_published_patterns():

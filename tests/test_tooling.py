@@ -95,3 +95,27 @@ def test_buchberger_eliminates_through_the_module_global(monkeypatch):
     basis = buchberger(builtin_presentations()["gd"], 5)
     assert [len(r) for r in results] == list(basis.rule_counts().values())
     assert basis.rule_counts() == {3: 10, 4: 9, 5: 31}
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "operadgb"
+
+
+def test_src_has_no_unused_imports():
+    """Every name a module imports is read somewhere in it; annotations
+    count, since they parse as names."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for alias in stmt.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = stmt.lineno
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in imported.items()
+                   if name not in read and name != "annotations"]
+    assert not unused, unused
