@@ -48,7 +48,7 @@ from .elements import (
     reduce_row,
 )
 from .groebner import GroebnerBasis, reduce_element
-from .presentation import BR, CIRC, convert_term, permute_element
+from .presentation import BR, CIRC, convert_term, element_orbit
 from .trees import (
     Tree,
     compositions,
@@ -533,16 +533,6 @@ def classify_degree4(pm: PMonomial) -> str:
 # ---------------------------------------------------------------------------
 # residue analysis
 # ---------------------------------------------------------------------------
-
-def element_orbit(e: OperadElement) -> list[OperadElement]:
-    """All symmetric-group images of a multilinear element."""
-    n = e.arity
-    out = []
-    for sigma in permutations(range(1, n + 1)):
-        perm = {i + 1: sigma[i] for i in range(n)}
-        out.append(permute_element(e, perm))
-    return out
-
 
 def orbit_pivots(elems: Iterable[OperadElement], basis: GroebnerBasis,
                  pivots: dict | None = None) -> dict:

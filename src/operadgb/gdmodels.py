@@ -41,6 +41,15 @@ class GDModelError(ValueError):
     pass
 
 
+def _positive_int(text: str, lineno: int, top: int | None = None) -> int:
+    """A table field that must be an integer from 1 up to ``top``."""
+    if text.isdecimal() and 1 <= int(text) <= (top or int(text)):
+        return int(text)
+    bound = f"in 1..{top}" if top else "of at least 1"
+    raise GDModelError(
+        f"line {lineno}: expected an integer {bound}, got {text!r}")
+
+
 Vec = tuple  # coefficient vector over the algebra basis
 
 
@@ -126,15 +135,23 @@ class GDTable:
                 continue
             parts = line.split()
             if parts[0] == "dim":
-                dim = int(parts[1])
+                if dim is not None or len(parts) != 2:
+                    raise GDModelError(
+                        f"line {lineno}: expected one 'dim n' line")
+                dim = _positive_int(parts[1], lineno)
             elif parts[0] in ("circ", "bracket"):
                 if dim is None:
                     raise GDModelError(f"line {lineno}: 'dim' must come first")
                 if len(parts) < 4 or parts[3] != "=":
                     raise GDModelError(f"line {lineno}: expected "
                                        f"'{parts[0]} i j = coeffs'")
-                i, j = int(parts[1]) - 1, int(parts[2]) - 1
-                coeffs = [Fraction(c) for c in parts[4:]]
+                i, j = (_positive_int(p, lineno, dim) - 1 for p in parts[1:3])
+                try:
+                    coeffs = [Fraction(c) for c in parts[4:]]
+                except (ValueError, ZeroDivisionError):
+                    raise GDModelError(
+                        f"line {lineno}: coefficients must be rationals like "
+                        f"-3/2, got {' '.join(parts[4:])!r}") from None
                 if len(coeffs) != dim:
                     raise GDModelError(
                         f"line {lineno}: expected {dim} coefficients")

@@ -42,7 +42,7 @@ from .elements import (
     memo_normal_form,
 )
 from .presentation import Presentation
-from .syntax import format_element, parse_element, parse_monomial
+from .syntax import format_element, parse_element, parse_generators, parse_monomial
 from .trees import (
     GeneratorSymbol,
     Occurrence,
@@ -398,22 +398,29 @@ def load_basis(path: str, validate: bool = True) -> GroebnerBasis:
             raise BasisFormatError(f"missing header field {name!r}")
         return lines[idx].split(":", 1)[1].strip()
 
+    def int_header(idx: int, name: str) -> int:
+        value = header(idx, name)
+        if not value.isdecimal():
+            raise BasisFormatError(
+                f"header field {name!r} must be a nonnegative integer, "
+                f"got {value!r}")
+        return int(value)
+
     pres_name = header(1, "presentation")
     order_id = header(2, "order")
     gen_spec = header(3, "generators")
-    max_arity = int(header(4, "max_arity"))
-    count = int(header(5, "rules"))
+    max_arity = int_header(4, "max_arity")
+    count = int_header(5, "rules")
     checksum = header(6, "checksum")
     body_lines = lines[7:7 + count]
     if len(body_lines) != count:
         raise BasisFormatError("truncated rules section")
     if _checksum(lines[:6], body_lines) != checksum:
         raise BasisFormatError("checksum mismatch: file corrupted")
-    gens = []
-    for chunk in gen_spec.split():
-        name, _, ar = chunk.partition("/")
-        gens.append(GeneratorSymbol(name, int(ar)))
-    gens = tuple(gens)
+    try:
+        gens = parse_generators(gen_spec, 4)
+    except (ValueError, TreeError) as exc:
+        raise BasisFormatError(f"bad header field 'generators': {exc}") from None
     rules: list[RewriteRule] = []
     for i, line in enumerate(body_lines):
         try:

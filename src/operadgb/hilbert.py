@@ -62,14 +62,6 @@ class NormalMonomials:
         return len(self.level(n))
 
 
-def _enumerator(basis: GroebnerBasis) -> NormalMonomials:
-    enum = getattr(basis, "_normal_enum", None)
-    if enum is None:
-        enum = NormalMonomials(basis)
-        basis._normal_enum = enum
-    return enum
-
-
 def _check_completed(basis: GroebnerBasis, n: int,
                      message: str = "arity {n} out of completed range {top}",
                      ) -> None:
@@ -80,16 +72,12 @@ def _check_completed(basis: GroebnerBasis, n: int,
 def count_normal_monomials(basis: GroebnerBasis, n: int) -> int:
     """Number of arity-n monomials with no divisor among the rule leads;
     equals the dimension of the operad component at arity n."""
-    return _enumerator(basis).count(n)
-
-
-def normal_monomials(basis: GroebnerBasis, n: int) -> tuple[Tree, ...]:
-    """The normal monomials themselves (the quotient's monomial basis)."""
-    return _enumerator(basis).level(n)
+    return NormalMonomials(basis).count(n)
 
 
 def emit_table(basis: GroebnerBasis, up_to: int) -> DimensionTable:
     _check_completed(basis, up_to,
                      "table up to arity {n} exceeds completed range {top}")
-    entries = {n: count_normal_monomials(basis, n) for n in range(1, up_to + 1)}
+    normals = NormalMonomials(basis)
+    entries = {n: normals.count(n) for n in range(1, up_to + 1)}
     return DimensionTable(entries, basis.presentation_name, basis.order_id)

@@ -9,9 +9,15 @@ to its transposed partner (with a sign) otherwise.  For the Gelfand-Dorfman
 signature the dictionary is nu -> x, nu^(12) -> y and mu -> z with
 mu^(12) = -z, so the antisymmetric bracket needs no fourth generator.
 
-The built-in presentations ``lie``, ``novikov``, ``gd`` and ``wsgd`` are
-generated this way from the defining identities and are pinned against the
-known converted relation lists by the test suite.
+``element_orbit`` walks the S_n orbit of an element; the conversion and the
+orbit spans of ``diffpoisson`` both go through it.
+
+Every built-in presentation is generated this way from its defining
+identities: ``lie`` from Jacobi, ``novikov`` from left symmetry and right
+commutativity, ``gd`` from those three and the compatibility identity, and
+``wsgd`` from ``gd`` and the two degree-4 special identities.  The published
+relation lists are test fixtures, against which the test suite checks the
+conversion.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from itertools import permutations
 from typing import Iterable, Sequence
 
 from .elements import OperadElement, add_term
-from .syntax import ParseError, parse_element
+from .syntax import ParseError, parse_element, parse_generators
 from .trees import GeneratorSymbol, Tree, TreeError, TreeOrder, leaf, node, order_for
 
 # A symbolic multilinear term: either a variable index (int) or a tuple
@@ -110,13 +116,20 @@ def convert_term(term: Term) -> tuple[int, Tree]:
     return sign * swap_sign, node(swapped, (tb, ta))
 
 
-def convert_instance(rel: SymmetricRelation,
-                     perm: dict[int, int]) -> OperadElement:
+def _convert_terms(terms: Iterable[tuple[Fraction, Term]],
+                   perm: dict[int, int], arity: int) -> OperadElement:
+    """A combination of symmetric terms, relabeled by ``perm`` and rewritten
+    over the shuffle alphabet."""
     acc: dict[Tree, Fraction] = {}
-    for coeff, term in rel.terms:
+    for coeff, term in terms:
         sign, tree = convert_term(_permute_term(term, perm))
         add_term(acc, tree, coeff * sign)
-    return OperadElement(acc, rel.nvars)
+    return OperadElement(acc, arity)
+
+
+def convert_instance(rel: SymmetricRelation,
+                     perm: dict[int, int]) -> OperadElement:
+    return _convert_terms(rel.terms, perm, rel.nvars)
 
 
 def shuffle_to_symmetric_term(t: Tree) -> Term:
@@ -143,12 +156,17 @@ def permute_element(e: OperadElement, perm: dict[int, int]) -> OperadElement:
     go through the symmetric preimage: x(1 2) under the transposition
     becomes y(1 2), and the antisymmetric bracket picks up signs.
     """
-    acc: dict[Tree, Fraction] = {}
-    for t, c in e.terms.items():
-        term = _permute_term(shuffle_to_symmetric_term(t), perm)
-        sign, tree = convert_term(term)
-        add_term(acc, tree, c * sign)
-    return OperadElement(acc, e.arity)
+    terms = [(c, shuffle_to_symmetric_term(t)) for t, c in e.terms.items()]
+    return _convert_terms(terms, perm, e.arity)
+
+
+def element_orbit(e: OperadElement) -> list[OperadElement]:
+    """All symmetric-group images of a multilinear element, in the order of
+    ``permutations``; the symmetric preimage is taken once for all."""
+    n = e.arity
+    terms = [(c, shuffle_to_symmetric_term(t)) for t, c in e.terms.items()]
+    return [_convert_terms(terms, {i + 1: sigma[i] for i in range(n)}, n)
+            for sigma in permutations(range(1, n + 1))]
 
 
 def symmetric_to_shuffle(rel: SymmetricRelation) -> list[OperadElement]:
@@ -156,11 +174,10 @@ def symmetric_to_shuffle(rel: SymmetricRelation) -> list[OperadElement]:
     rewritten over the shuffle alphabet, deduplicated up to a scalar (monic
     normalization in the pathlex order on x, y, z)."""
     order = order_for("pathlex", ("x", "y", "z"))
+    identity = {i: i for i in range(1, rel.nvars + 1)}
     out: list[OperadElement] = []
     seen: set = set()
-    for sigma in permutations(range(1, rel.nvars + 1)):
-        perm = {i + 1: sigma[i] for i in range(rel.nvars)}
-        elem = convert_instance(rel, perm)
+    for elem in element_orbit(convert_instance(rel, identity)):
         if elem.is_zero():
             continue
         canon = elem.monic(order)
@@ -321,61 +338,6 @@ def shuffle_images(identity_name: str) -> list[OperadElement]:
     return symmetric_to_shuffle(NAMED_IDENTITIES[identity_name])
 
 
-# -- converted relation fixtures ----------------------------------------------
-# The known converted relation lists, kept verbatim so presets are diffable.
-# The Novikov, Jacobi and mixed lines coincide term for term with the output
-# of symmetric_to_shuffle; the degree-4 special lines are the orbit reduced
-# modulo consequences of the cubic relations, and the test suite checks both
-# generate the same ideal.
-
-NOVIKOV_RELATION_LINES = (
-    "x(x(1 2) 3) - x(1 x(2 3)) - x(y(1 2) 3) + y(x(1 3) 2)",
-    "x(x(1 3) 2) - x(1 y(2 3)) - x(y(1 3) 2) + y(x(1 2) 3)",
-    "y(1 x(2 3)) - y(y(1 3) 2) - y(1 y(2 3)) + y(y(1 2) 3)",
-    "x(x(1 2) 3) - x(x(1 3) 2)",
-    "x(y(1 2) 3) - y(1 x(2 3))",
-    "x(y(1 3) 2) - y(1 y(2 3))",
-)
-
-JACOBI_RELATION_LINE = "z(z(1 2) 3) - z(1 z(2 3)) - z(z(1 3) 2)"
-
-MIXED_RELATION_LINES = (
-    "z(1 x(2 3)) + z(y(1 2) 3) - x(z(1 2) 3) - y(1 z(2 3)) - y(z(1 3) 2)",
-    "-z(x(1 3) 2) + z(x(1 2) 3) + x(z(1 2) 3) - x(z(1 3) 2) - x(1 z(2 3))",
-    "-y(z(1 2) 3) + z(1 y(2 3)) + z(y(1 3) 2) - x(z(1 3) 2) + y(1 z(2 3))",
-)
-
-SPECIAL1_RELATION_LINES = (
-    "z(1 x(x(2 3) 4)) - x(z(1 x(2 3)) 4) - x(z(1 x(2 4)) 3) + x(x(z(1 2) 3) 4)",
-    "z(1 x(y(2 3) 4)) - x(z(1 y(2 3)) 4) - x(z(1 x(3 4)) 2) + x(x(z(1 3) 2) 4)",
-    "z(1 y(2 y(3 4))) - x(z(1 y(3 4)) 2) - x(z(1 y(2 4)) 3) + x(x(z(1 4) 2) 3)",
-    "-z(x(x(1 3) 4) 2) + x(z(x(1 3) 2) 4) + x(z(x(1 4) 2) 3) - x(x(z(1 2) 3) 4)",
-    "-z(x(y(1 3) 4) 2) + x(z(y(1 3) 2) 4) - y(1 z(2 x(3 4))) + x(y(1 z(2 3)) 4)",
-    "-z(x(y(1 4) 3) 2) + x(z(y(1 4) 2) 3) - y(1 z(2 y(3 4))) + x(y(1 z(2 4)) 3)",
-    "-z(x(x(1 2) 4) 3) + x(z(x(1 2) 3) 4) + x(z(x(1 4) 3) 2) - x(x(z(1 3) 2) 4)",
-    "-z(x(y(1 2) 4) 3) + x(z(y(1 2) 3) 4) + y(1 z(x(2 4) 3)) - y(1 x(z(2 3) 4))",
-    "-z(x(y(1 4) 2) 3) + x(z(y(1 4) 3) 2) + y(1 z(y(2 4) 3)) + y(1 y(2 z(3 4)))",
-    "-z(x(x(1 2) 3) 4) + x(z(x(1 2) 4) 3) + x(z(x(1 3) 4) 2) - x(x(z(1 4) 2) 3)",
-    "-z(x(y(1 2) 3) 4) + x(z(y(1 2) 4) 3) + y(1 z(x(2 3) 4)) - x(y(1 z(2 4)) 3)",
-    "-z(x(y(1 3) 2) 4) + x(z(y(1 3) 4) 2) + y(1 z(y(2 3) 4)) - x(y(1 z(3 4)) 2)",
-)
-
-SPECIAL2_RELATION_LINES = (
-    "z(x(1 2) x(3 4)) - x(z(x(1 2) 3) 4) - x(z(1 x(3 4)) 2) + 2 x(x(z(1 3) 2) 4)"
-    " + z(x(1 4) y(2 3)) - x(z(1 y(2 3)) 4) - x(z(x(1 4) 3) 2)",
-    "z(x(1 3) x(2 4)) - x(z(1 x(2 4)) 3) - x(z(x(1 3) 2) 4) + 2 x(x(z(1 2) 3) 4)"
-    " + z(x(1 4) x(2 3)) - x(z(1 x(2 3)) 4) - x(z(x(1 4) 2) 3)",
-    "z(y(1 2) y(3 4)) - y(1 z(2 y(3 4))) - x(z(y(1 2) 4) 3) + 2 y(1 x(z(2 4) 3))"
-    " - z(y(1 4) x(2 3)) + x(z(y(1 4) 2) 3) - y(1 z(x(2 3) 4))",
-    "z(y(1 2) x(3 4)) - y(1 z(2 x(3 4))) - x(z(y(1 2) 3) 4) + 2 y(1 x(z(2 3) 4))"
-    " - z(y(1 3) x(2 4)) + x(z(y(1 3) 2) 4) - y(1 z(x(2 4) 3))",
-    "z(y(1 3) y(2 4)) + y(1 z(y(2 4) 3)) - x(z(y(1 3) 4) 2) + 2 y(1 y(2 z(3 4)))"
-    " - z(y(1 4) y(2 3)) - y(1 z(y(2 3) 4)) + x(z(y(1 4) 3) 2)",
-    "z(x(1 2) y(3 4)) - x(z(1 y(3 4)) 2) - x(z(x(1 2) 4) 3) + 2 x(x(z(1 4) 2) 3)"
-    " + z(x(1 3) y(2 4)) - x(z(x(1 3) 4) 2) - x(z(1 y(2 4)) 3)",
-)
-
-
 _X = GeneratorSymbol("x", 2)
 _Y = GeneratorSymbol("y", 2)
 _Z = GeneratorSymbol("z", 2)
@@ -387,14 +349,14 @@ def _build_builtins() -> dict[str, Presentation]:
     jacobi_rels = symmetric_to_shuffle(JACOBI)
     mixed_rels = symmetric_to_shuffle(GD_COMPAT)
     gd_rels = novikov_rels + jacobi_rels + mixed_rels
+    wsgd_rels = (gd_rels + symmetric_to_shuffle(SPECIAL_1)
+                 + symmetric_to_shuffle(SPECIAL_2))
     xyz = (_X, _Y, _Z)
-    wsgd_extra = [parse_element(line, xyz)
-                  for line in SPECIAL1_RELATION_LINES + SPECIAL2_RELATION_LINES]
     return {
         "lie": Presentation("lie", (_Z,), tuple(jacobi_rels)),
         "novikov": Presentation("novikov", (_X, _Y), tuple(novikov_rels)),
         "gd": Presentation("gd", xyz, tuple(gd_rels)),
-        "wsgd": Presentation("wsgd", xyz, tuple(gd_rels + wsgd_extra)),
+        "wsgd": Presentation("wsgd", xyz, tuple(wsgd_rels)),
     }
 
 
@@ -446,13 +408,7 @@ def parse_presentation(text: str) -> Presentation:
                     raise ParseError(f"unknown preset {rest!r}", lineno, 1)
                 base = builtins[rest]
             elif head == "generators":
-                for chunk in rest.split():
-                    gname, _, ar = chunk.partition("/")
-                    if not ar.isdigit():
-                        raise ParseError(
-                            f"generator spec {chunk!r} must look like name/arity",
-                            lineno, 1)
-                    gens.append(GeneratorSymbol(gname, int(ar)))
+                gens.extend(parse_generators(rest, lineno))
             elif line == "relations:":
                 in_relations = True
             else:

@@ -99,6 +99,19 @@ def _parse_tree(tokens: _Tokens, gens: dict[str, int]) -> Tree:
         raise ParseError(str(exc), tokens.line, col) from None
 
 
+def parse_generators(text: str, line: int) -> tuple[GeneratorSymbol, ...]:
+    """Blank-separated generators in the ``name/arity`` form of
+    ``GeneratorSymbol.__str__``."""
+    gens = []
+    for chunk in text.split():
+        name, _, ar = chunk.partition("/")
+        if not ar.isdecimal():
+            raise ParseError(
+                f"generator spec {chunk!r} must look like name/arity", line, 1)
+        gens.append(GeneratorSymbol(name, int(ar)))
+    return tuple(gens)
+
+
 def _gen_map(gens: Sequence[GeneratorSymbol]) -> dict[str, int]:
     return {g.name: g.arity for g in gens}
 

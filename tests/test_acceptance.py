@@ -35,14 +35,9 @@ from operadgb.groebner import buchberger, reduce_element, reduce_random
 from operadgb.hilbert import count_normal_monomials
 from operadgb.presentation import (
     JACOBI,
-    JACOBI_RELATION_LINE,
     LEFT_SYMMETRY,
     GD_COMPAT,
-    MIXED_RELATION_LINES,
-    NOVIKOV_RELATION_LINES,
     RIGHT_COMMUTATIVITY,
-    SPECIAL1_RELATION_LINES,
-    SPECIAL2_RELATION_LINES,
     SPECIAL_1,
     SPECIAL_2,
     builtin_presentations,
@@ -54,6 +49,13 @@ from operadgb.syntax import format_element, parse_element
 from operadgb.trees import all_trees
 
 from oracles import quotient_dimension
+from published_relations import (
+    JACOBI_RELATION_LINE,
+    MIXED_RELATION_LINES,
+    NOVIKOV_RELATION_LINES,
+    SPECIAL1_RELATION_LINES,
+    SPECIAL2_RELATION_LINES,
+)
 
 BUILTINS = builtin_presentations()
 EXTENDED = os.environ.get("OPERADGB_EXTENDED") == "1"

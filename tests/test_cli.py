@@ -5,6 +5,7 @@ import pytest
 
 from operadgb.cli import main
 from operadgb.gdmodels import case3_table
+from operadgb.groebner import _checksum
 
 
 def run(argv, capsys):
@@ -197,6 +198,48 @@ def test_saved_basis_and_dims_are_pinned(preset, arity, tmp_path, capsys):
     assert (hashlib.sha256(path.read_bytes()).hexdigest(),
             hashlib.sha256(out.encode()).hexdigest()) \
         == BASIS_SHA256[preset, arity]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_arity", "3x"),
+    ("rules", "ten"),
+    ("generators", "x y/2 z/2"),
+])
+def test_dims_reports_a_bad_header_field(field, value, tmp_path, capsys):
+    """A header field that does not parse is a format error, even under a
+    checksum that matches it."""
+    path = tmp_path / "gd3.basis"
+    assert run(["gb", "--preset", "gd", "--max-arity", "3", "-o", str(path)],
+               capsys)[0] == 0
+    lines = path.read_text().splitlines()
+    lines = [f"{field}: {value}" if l.startswith(f"{field}:") else l
+             for l in lines]
+    lines[6] = f"checksum: {_checksum(lines[:6], lines[7:])}"
+    path.write_text("\n".join(lines) + "\n")
+    code, _out, err = run(["dims", "--basis", str(path)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("table, message", [
+    ("dim 2\ncirc 0 1 = 1 0\n", "line 2: expected an integer in 1..2, got '0'"),
+    ("dim 2\ncirc 1 3 = 1 0\n", "line 2: expected an integer in 1..2, got '3'"),
+    ("dim 2\nbracket 1 b = 1 0\n",
+     "line 2: expected an integer in 1..2, got 'b'"),
+    ("dim two\n", "line 1: expected an integer of at least 1, got 'two'"),
+    ("# a table\ndim 0\n", "line 2: expected an integer of at least 1, got '0'"),
+    ("dim 2\ncirc 1 1 = 1 x\n",
+     "line 2: coefficients must be rationals like -3/2, got '1 x'"),
+    ("dim 2\ncirc 1 1 = 1/0 0\n",
+     "line 2: coefficients must be rationals like -3/2, got '1/0 0'"),
+    ("dim\n", "line 1: expected one 'dim n' line"),
+    ("dim 2\ncirc 1 1 = 1 0\ndim 3\n", "line 3: expected one 'dim n' line"),
+])
+def test_check_gd_rejects_a_misread_table(table, message, tmp_path, capsys):
+    path = tmp_path / "bad.gd"
+    path.write_text(table)
+    code, out, err = run(["check-gd", str(path)], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_check_gd_case3(tmp_path, capsys):

@@ -20,7 +20,7 @@ from operadgb.groebner import (
     save_basis,
     validate_interreduced,
 )
-from operadgb.hilbert import count_normal_monomials, emit_table, normal_monomials
+from operadgb.hilbert import NormalMonomials, count_normal_monomials, emit_table
 from operadgb.presentation import builtin_presentations, shuffle_images
 from operadgb.trees import (
     GeneratorSymbol,
@@ -163,7 +163,7 @@ def test_order_invariance_of_dimensions():
 
 
 def test_normal_monomials_are_normal(gd4):
-    for t in normal_monomials(gd4, 4):
+    for t in NormalMonomials(gd4).level(4):
         assert gd4.reducer.find_divisor(t) is None
     # and the reducible ones are exactly the complement
     total = len(all_trees(gd4.generators, 4))

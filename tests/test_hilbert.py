@@ -1,7 +1,7 @@
 import pytest
 
 from operadgb.groebner import BudgetExceededError, buchberger
-from operadgb.hilbert import count_normal_monomials, emit_table, normal_monomials
+from operadgb.hilbert import NormalMonomials, count_normal_monomials, emit_table
 from operadgb.presentation import builtin_presentations
 from operadgb.trees import all_trees
 
@@ -25,7 +25,7 @@ def test_entry_one_at_arity_one(lie5):
 def test_bottom_up_matches_filtering(lie5):
     # the bottom-up enumeration agrees with filtering all monomials
     for n in (2, 3, 4):
-        normals = set(normal_monomials(lie5, n))
+        normals = set(NormalMonomials(lie5).level(n))
         filtered = {m for m in all_trees(lie5.generators, n)
                     if lie5.reducer.find_divisor(m) is None}
         assert normals == filtered

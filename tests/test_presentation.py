@@ -6,14 +6,9 @@ import pytest
 
 from operadgb.presentation import (
     JACOBI,
-    JACOBI_RELATION_LINE,
     LEFT_SYMMETRY,
     GD_COMPAT,
-    MIXED_RELATION_LINES,
-    NOVIKOV_RELATION_LINES,
     RIGHT_COMMUTATIVITY,
-    SPECIAL1_RELATION_LINES,
-    SPECIAL2_RELATION_LINES,
     SPECIAL_1,
     SPECIAL_2,
     builtin_presentations,
@@ -28,6 +23,13 @@ from operadgb.syntax import (
 )
 
 from oracles import consequence_pivots, span_rank
+from published_relations import (
+    JACOBI_RELATION_LINE,
+    MIXED_RELATION_LINES,
+    NOVIKOV_RELATION_LINES,
+    SPECIAL1_RELATION_LINES,
+    SPECIAL2_RELATION_LINES,
+)
 
 GD = builtin_presentations()["gd"]
 WSGD = builtin_presentations()["wsgd"]
@@ -136,12 +138,21 @@ def test_builtin_shapes():
     assert set(b) == {"lie", "novikov", "gd", "wsgd"}
     assert len(b["gd"].relations) == 10
     assert all(r.arity == 3 for r in b["gd"].relations)
-    assert len(b["wsgd"].relations) == 28
+    assert len(b["wsgd"].relations) == 46
     by_arity = b["wsgd"].relations_by_arity()
-    assert len(by_arity[3]) == 10 and len(by_arity[4]) == 18
+    assert len(by_arity[3]) == 10 and len(by_arity[4]) == 36
     assert len(b["lie"].relations) == 1
     assert b["lie"].gen_names == ("z",)
     assert len(b["novikov"].relations) == 6
+
+
+def test_wsgd_is_gd_plus_the_special_orbits():
+    """wSGD is GD modulo its two degree-4 special identities, each given by
+    its full shuffle orbit."""
+    b = builtin_presentations()
+    assert b["wsgd"].relations == (b["gd"].relations
+                                   + tuple(symmetric_to_shuffle(SPECIAL_1))
+                                   + tuple(symmetric_to_shuffle(SPECIAL_2)))
 
 
 def format_presentation(p):
@@ -182,6 +193,10 @@ def test_presentation_errors():
         parse_presentation("generators x/2\nrelations:\nx(1 2)\n")  # no name
     with pytest.raises(ParseError):
         parse_presentation("operad bad\ngenerators x/2\nrelations:\nx(2 1)\n")
+    with pytest.raises(ParseError) as err:
+        parse_presentation("operad bad\ngenerators x/2 y\n")
+    assert str(err.value) == \
+        "line 2, column 1: generator spec 'y' must look like name/arity"
 
 
 # -- symmetric-side cross-check ------------------------------------------------

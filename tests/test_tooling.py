@@ -119,3 +119,47 @@ def test_src_has_no_unused_imports():
                    for name, line in imported.items()
                    if name not in read and name != "annotations"]
     assert not unused, unused
+
+
+def _defined_names(stmt):
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return {n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)}
+
+
+def _read_names(tree):
+    """Names an AST reads: bare names, attribute names and imported names."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(alias.name for alias in n.names)
+    return out
+
+
+def test_every_src_name_has_a_reader():
+    """Each top-level name defined in ``src/operadgb`` is read somewhere in
+    the package (its own definition aside), is part of the API that
+    ``__init__`` imports, or is used by the benchmark scripts, whose tracer
+    names its targets as strings.  Test-only code belongs in ``tests/``."""
+    readers = set()
+    for script in sorted(PERFBENCH.glob("*.py")):
+        readers |= _read_names(ast.parse(script.read_text(encoding="utf-8")))
+    readers |= {part for _mod, path, _kind in traced_targets()
+                for part in path.split(".")}
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = _defined_names(stmt)
+            readers |= _read_names(stmt) - names
+            for name in names - {"__all__"}:
+                defined[name] = f"{path.name}:{stmt.lineno}: {name}"
+    unread = [where for name, where in sorted(defined.items())
+              if name not in readers]
+    assert not unread, unread
