@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .elements import add_term, axpy, memo_normal_form
+from .elements import add_term, axpy, fraction_terms, integer_form, normal_form
 
 Mono = tuple  # tuple[(var, exp), ...] sorted by var, exps > 0
 
@@ -157,21 +157,22 @@ ZERO = Poly()
 def reduce_poly(f: Poly, basis: Sequence[Poly]) -> Poly:
     """Full remainder of f modulo the (assumed Groebner) basis: each
     monomial is rewritten by the first lead, in basis order, dividing it."""
-    leads = [(g.lm(), g.lc(), g) for g in basis if g]
+    # each lead with its monic tail, negated, as an integer pair
+    leads = []
+    for g in basis:
+        if g:
+            lm_g, lc_g = g.lm(), g.lc()
+            leads.append((lm_g, integer_form(
+                {mg: -cg / lc_g for mg, cg in g.terms.items() if mg != lm_g})))
 
-    def step(m: Mono) -> dict[Mono, Fraction] | None:
-        for lm_g, lc_g, g in leads:
+    def step(m: Mono) -> tuple[int, dict[Mono, int]] | None:
+        for lm_g, (den, nums) in leads:
             if mono_divides(lm_g, m):
                 q = mono_div(m, lm_g)
-                return {mono_mul(mg, q): -cg / lc_g
-                        for mg, cg in g.terms.items() if mg != lm_g}
+                return den, {mono_mul(mg, q): v for mg, v in nums.items()}
         return None
 
-    memo: dict[Mono, dict[Mono, Fraction]] = {}
-    acc: dict[Mono, Fraction] = {}
-    for m, c in f.terms.items():
-        axpy(acc, memo_normal_form(m, step, memo), c)
-    return Poly(acc)
+    return Poly(fraction_terms(*normal_form(f.terms, step, {})))
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:

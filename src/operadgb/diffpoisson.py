@@ -42,9 +42,10 @@ from typing import Iterable, NamedTuple, Sequence
 from .elements import (
     OperadElement,
     add_term,
-    axpy,
     echelon,
-    memo_normal_form,
+    fraction_terms,
+    integer_form,
+    normal_form,
     reduce_row,
 )
 from .groebner import GroebnerBasis, reduce_element
@@ -143,7 +144,7 @@ class RewriteContext:
         self._bracket: dict = {}
         # normal form per monomial; valid for the context's lifetime, since
         # the context is bound to one basis
-        self._nf_memo: dict[PMonomial, dict[PMonomial, Fraction]] = {}
+        self._nf_memo: dict[PMonomial, tuple[int, dict[PMonomial, int]]] = {}
 
     # -- letters -----------------------------------------------------------
 
@@ -331,13 +332,16 @@ class RewriteContext:
         apps = self.applications(pm)
         return self.apply(pm, apps[0]) if apps else None
 
+    def _integer_step(self, pm: PMonomial) -> tuple[int, dict] | None:
+        repl = self.step(pm)
+        return None if repl is None else integer_form(repl)
+
     def normal_form(self, poly: dict[PMonomial, Fraction]) -> dict[PMonomial, Fraction]:
         """Deterministic normal form: every monomial is rewritten by
-        ``step`` until nothing applies, memoized per monomial."""
-        acc: dict[PMonomial, Fraction] = {}
-        for pm, c in poly.items():
-            axpy(acc, memo_normal_form(pm, self.step, self._nf_memo), c)
-        return acc
+        ``step`` until nothing applies, memoized per monomial as an integer
+        pair."""
+        return fraction_terms(*normal_form(poly, self._integer_step,
+                                           self._nf_memo))
 
     def trace(self, poly: dict[PMonomial, Fraction]) -> list[str]:
         """The steps the normal form of ``poly`` needs: one line per

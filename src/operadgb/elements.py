@@ -3,13 +3,17 @@
 Elements are canonicalized eagerly (no zero coefficients, one arity per
 element) and all coefficients are :class:`fractions.Fraction`; no floating
 point appears anywhere, since the dimension tables downstream require exact
-rank computations.
+rank computations.  The two hot kernels, memoized normal forms and
+echelon elimination, run on Python ints instead: a normal form is an
+integer pair ``(den, {monomial: int})`` and elimination is fraction-free
+over primitive integer rows, so Fractions are built only at their edges.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .trees import (
@@ -178,21 +182,24 @@ def shuffle_compose(f: OperadElement, pi: ShufflePartition,
 
 
 def graft_at(host: Tree, occ: Occurrence, replacement: OperadElement) -> OperadElement:
-    """Replace the divisor at ``occ`` by ``replacement``, linearly.
-
-    Each monomial of the replacement is substituted with the occurrence's
-    slot subtrees and re-grafted into the host at the occurrence path; this
-    is the single reduction step of the rewriting engine.
-    """
+    """Replace the divisor at ``occ`` by ``replacement``, linearly."""
     if replacement.arity != len(occ.slots):
         raise ElementError(
             f"replacement arity {replacement.arity} does not fit occurrence "
             f"with {len(occ.slots)} slots")
-    acc: dict[Tree, Fraction] = {}
-    for t, c in replacement.terms.items():
-        assignment = dict(zip(t.leaves, occ.slots))
-        add_term(acc, replace_at(host, occ.path, substitute(t, assignment)), c)
-    return OperadElement(acc, host.arity)
+    return OperadElement(graft_terms(host, occ, replacement.terms), host.arity)
+
+
+def graft_terms(host: Tree, occ: Occurrence, terms: Mapping[Tree, object]
+                ) -> dict[Tree, object]:
+    """The single reduction step of the rewriting engine: each monomial of
+    ``terms`` is substituted with the occurrence's slot subtrees and
+    re-grafted into the host at the occurrence path, its coefficient, of
+    any type, carried over.  Distinct monomials give distinct trees, since
+    the host, the path and the slots are fixed, so no two terms meet."""
+    path, slots = occ.path, occ.slots
+    return {replace_at(host, path, substitute(t, dict(zip(t.leaves, slots)))): c
+            for t, c in terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -238,23 +245,77 @@ def axpy(acc: dict[Hashable, Fraction], terms: Mapping[Hashable, Fraction],
     return acc
 
 
+def integer_form(terms: Mapping[Hashable, Fraction | int]
+                 ) -> tuple[int, dict[Hashable, int]]:
+    """``terms`` as the primitive integer pair ``(den, nums)`` with
+    ``terms == nums / den``, ``den >= 1`` and ``gcd(den, *nums) == 1``.
+    The lcm of reduced denominators shares no prime with every scaled
+    numerator, so no gcd pass is needed."""
+    den = lcm(*(v.denominator for v in terms.values()))
+    if den == 1:
+        return 1, {t: v.numerator for t, v in terms.items()}
+    return den, {t: v.numerator * (den // v.denominator)
+                 for t, v in terms.items()}
+
+
+def fraction_terms(den: int, nums: Mapping[Hashable, int]
+                   ) -> dict[Hashable, Fraction]:
+    """The exact coefficients ``nums / den`` of an integer pair."""
+    return {t: Fraction(v, den) for t, v in nums.items()}
+
+
+def _combine(den: int, coeffs: Mapping[Hashable, Fraction | int],
+             form: Callable[[Hashable], tuple[int, Mapping[Hashable, int]]],
+             ) -> tuple[int, dict[Hashable, int]]:
+    """``sum(coeffs[t] * form(t)) / den`` as a primitive integer pair,
+    each ``form(t)`` an integer pair: the parts are brought to the lcm of
+    their denominators, so the sum runs over plain ints."""
+    parts = []
+    for t, c in coeffs.items():
+        d, nums = form(t)
+        parts.append((c.numerator, c.denominator * d, nums))
+    if not parts:
+        return 1, {}
+    common = lcm(*(q for _, q, _ in parts))
+    # the longest part fills the accumulator without lookups
+    parts.sort(key=lambda part: len(part[2]), reverse=True)
+    p, q, nums = parts[0]
+    s = p * (common // q)
+    acc = {u: s * v for u, v in nums.items()}
+    get = acc.get
+    for p, q, nums in parts[1:]:
+        s = p * (common // q)
+        for u, v in nums.items():
+            acc[u] = get(u, 0) + s * v
+    if 0 in acc.values():
+        acc = {u: v for u, v in acc.items() if v}
+    den *= common
+    g = gcd(den, *acc.values())
+    if g == 1:
+        return den, acc
+    return den // g, {u: v // g for u, v in acc.items()}
+
+
 def memo_normal_form(m: Hashable,
-                     step: Callable[[Hashable], Mapping[Hashable, Fraction] | None],
-                     memo: dict[Hashable, dict[Hashable, Fraction]],
-                     ) -> dict[Hashable, Fraction]:
+                     step: Callable[[Hashable],
+                                    tuple[int, Mapping[Hashable, int]] | None],
+                     memo: dict[Hashable, tuple[int, dict[Hashable, int]]],
+                     ) -> tuple[int, dict[Hashable, int]]:
     """Normal form of the monomial ``m`` under a terminating rewriting.
 
-    ``step(m)`` is the strategy's one rewrite of ``m`` as ``{monomial:
-    coeff}``, or ``None`` when ``m`` is normal.  Because the strategy fixes
-    one step per monomial, the normal form is linear and is memoized per
-    monomial in ``memo``; the work runs on an explicit stack, so deep
-    rewrite chains need no recursion.  The returned dict belongs to the
-    memo and must not be mutated.
+    ``step(m)`` is the strategy's one rewrite of ``m`` as an integer pair
+    ``(den, {monomial: int})``, standing for the numerators over ``den``,
+    or ``None`` when ``m`` is normal.  Because the strategy fixes one step
+    per monomial, the normal form is linear and is memoized per monomial in
+    ``memo`` as a primitive pair: ``den >= 1`` and ``gcd(den, *nums) ==
+    1``, so the memo holds Python ints only.  The work runs on an explicit
+    stack, so deep rewrite chains need no recursion.  The returned pair
+    belongs to the memo and must not be mutated.
     """
     cached = memo.get(m)
     if cached is not None:
         return cached
-    pending: dict[Hashable, Mapping[Hashable, Fraction]] = {}
+    pending: dict[Hashable, tuple[int, Mapping[Hashable, int]]] = {}
     stack = [m]
     while stack:
         cur = stack[-1]
@@ -265,11 +326,12 @@ def memo_normal_form(m: Hashable,
         if rewritten is None:
             rewritten = step(cur)
             if rewritten is None:
-                memo[cur] = {cur: Fraction(1)}
+                memo[cur] = (1, {cur: 1})
                 stack.pop()
                 continue
             pending[cur] = rewritten
-        missing = [t for t in rewritten if t not in memo]
+        den, nums = rewritten
+        missing = [t for t in nums if t not in memo]
         if missing:
             # pending monomials are the ancestors of cur: meeting one again
             # is a cycle, which would grow the stack forever
@@ -277,13 +339,20 @@ def memo_normal_form(m: Hashable,
                 raise ValueError(f"rewriting does not terminate at {cur!r}")
             stack.extend(missing)
             continue
-        acc: dict[Hashable, Fraction] = {}
-        for t, c in rewritten.items():
-            axpy(acc, memo[t], c)
-        memo[cur] = acc
+        memo[cur] = _combine(den, nums, memo.__getitem__)
         del pending[cur]
         stack.pop()
     return memo[m]
+
+
+def normal_form(terms: Mapping[Hashable, Fraction | int],
+                step: Callable[[Hashable],
+                               tuple[int, Mapping[Hashable, int]] | None],
+                memo: dict[Hashable, tuple[int, dict[Hashable, int]]],
+                ) -> tuple[int, dict[Hashable, int]]:
+    """Normal form of the combination ``terms`` by
+    :func:`memo_normal_form`, as a primitive integer pair of its own."""
+    return _combine(1, terms, lambda t: memo_normal_form(t, step, memo))
 
 
 def reduce_row(row: dict[Hashable, Fraction],
@@ -310,30 +379,77 @@ def reduce_row(row: dict[Hashable, Fraction],
     return None
 
 
-def echelon(rows: Iterable[Mapping[Hashable, Fraction]],
+def _eliminate(row: dict[int, int], pivot: Mapping[int, int], col: int
+               ) -> None:
+    """``row <- b*row - a*pivot`` in place, which clears ``col``: ``a`` and
+    ``b`` are the two entries at ``col`` over their gcd, ``b > 0`` since a
+    pivot's lead is positive.  Then the row's content is divided out, so
+    the row stays primitive."""
+    a, b = row[col], pivot[col]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    if b != 1:
+        for t, v in row.items():
+            row[t] = v * b
+    for t, v in pivot.items():
+        s = row.get(t)
+        if s is None:
+            row[t] = -a * v
+        elif s := s - a * v:
+            row[t] = s
+        else:
+            del row[t]
+    if row:
+        g = gcd(*row.values())
+        if g != 1:
+            for t, v in row.items():
+                row[t] = v // g
+
+
+def echelon(rows: Iterable[Mapping[Hashable, Fraction | int]],
             key: Callable[[Hashable], object],
             reduced: Mapping[Hashable, Mapping[Hashable, Fraction]] | None = None,
             ) -> dict[Hashable, dict[Hashable, Fraction]]:
     """Reduced row echelon form of the span of ``rows`` and ``reduced``.
 
     ``reduced``, when given, is a reduced form to extend, in the shape
-    returned: ``{lead: monic tail}``, no tail holding a lead.  The rows are
-    forward-reduced by :func:`reduce_row` shortest first, the row order of
-    F4-style batched elimination, and the pivots are then back-substituted
-    in ascending lead order.  A span has exactly one reduced form, so the
-    order of the rows cannot change the returned mapping, only the order
-    in which its dicts iterate.  ``rows`` and ``reduced`` are only read.
+    returned: ``{lead: monic tail}``, no tail holding a lead.  Row values
+    may be ``int`` or :class:`Fraction`.  The elimination is fraction-free:
+    the columns are ranked once by ``key``, greatest first, and every row
+    becomes a primitive integer row over the ranks, so a row's lead is its
+    least rank.  The rows are forward-reduced shortest first, the row order
+    of F4-style batched elimination, by :func:`_eliminate`; the pivots are
+    then back-substituted in ascending lead order the same way, and each
+    is made monic only at the end.  A span has exactly one reduced form, so
+    the order of the rows cannot change the returned mapping, only the
+    order in which its dicts iterate.  ``rows`` and ``reduced`` are only
+    read.
     """
-    pivots = {lead: dict(tail) for lead, tail in (reduced or {}).items()}
-    for row in sorted(rows, key=len):
-        found = reduce_row(dict(row), pivots, key)
-        if found is not None:
-            lead, tail = found
-            pivots[lead] = tail
-    # ascending, so the pivots a tail refers to are already clean
-    for lead in sorted(pivots, key=key):
-        tail = pivots[lead]
-        for t, c in [(t, c) for t, c in tail.items() if t in pivots]:
-            del tail[t]
-            axpy(tail, pivots[t], -c)
-    return pivots
+    todo = [{lead: 1, **tail} for lead, tail in (reduced or {}).items()]
+    todo += sorted(rows, key=len)
+    ranked = sorted({t for row in todo for t in row}, key=key, reverse=True)
+    rank = {t: i for i, t in enumerate(ranked)}
+    pivots: dict[int, dict[int, int]] = {}
+    for terms in todo:
+        nums = integer_form(terms)[1]
+        g = gcd(*nums.values())
+        row = {rank[t]: v // g for t, v in nums.items() if v}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                if row[lead] < 0:
+                    for t, v in row.items():
+                        row[t] = -v
+                pivots[lead] = row
+                break
+            _eliminate(row, pivot, lead)
+    # ascending, so the pivots a row refers to are already clean
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for col in [c for c in row if c != lead and c in pivots]:
+            _eliminate(row, pivots[col], col)
+    return {ranked[lead]: {ranked[t]: Fraction(v, row[lead])
+                           for t, v in row.items() if t != lead}
+            for lead, row in pivots.items()}

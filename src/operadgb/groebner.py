@@ -20,7 +20,9 @@ multiples.  :func:`overlaps` spells out why this is exhaustive.
 Reduction is deterministic: a monomial's one rewrite step uses the divisor
 at its first pre-order position, rules tried in a fixed order (arity, lead
 key, rid), so normal forms are linear and are memoized per monomial by
-:func:`~operadgb.elements.memo_normal_form`.  A trie over the leads'
+:func:`~operadgb.elements.memo_normal_form`, over Python ints: each rule
+tail is kept as an integer pair ``(den, {monomial: int})``, and so is each
+memoized normal form.  A trie over the leads'
 pre-order skeletons yields the candidate rules at a position in that order,
 each confirmed by a full occurrence match, so the index cannot change the
 divisor.  The reducer fills its memos lazily, so it is not safe to share
@@ -38,8 +40,11 @@ from .elements import (
     OperadElement,
     axpy,
     echelon,
+    fraction_terms,
     graft_at,
-    memo_normal_form,
+    graft_terms,
+    integer_form,
+    normal_form,
 )
 from .presentation import Presentation
 from .syntax import format_element, parse_element, parse_generators, parse_monomial
@@ -111,7 +116,9 @@ class _Reducer:
                 trie = trie[0].setdefault(t.gen, ({}, []))
                 todo.extend(reversed(t.children))
             trie[1].append(rank)
-        self._memo: dict[Tree, dict[Tree, Fraction]] = {}
+        # each tail once as an integer pair, the shape of the memo's values
+        self._tails = {r: integer_form(r.tail.terms) for r in self.rules}
+        self._memo: dict[Tree, tuple[int, dict[Tree, int]]] = {}
         self._div_memo: dict[Tree, tuple[RewriteRule, Occurrence] | None] = {}
 
     def occurrences(self, m: Tree):
@@ -157,18 +164,17 @@ class _Reducer:
             found = self._div_memo[m] = next(self.occurrences(m), None)
             return found
 
-    def _step(self, m: Tree) -> dict[Tree, Fraction] | None:
+    def _step(self, m: Tree) -> tuple[int, dict[Tree, int]] | None:
         div = self.find_divisor(m)
         if div is None:
             return None
         rule, occ = div
-        return graft_at(m, occ, rule.tail).terms
+        den, nums = self._tails[rule]
+        return den, graft_terms(m, occ, nums)
 
     def nf_terms(self, terms: dict[Tree, Fraction]) -> dict[Tree, Fraction]:
-        acc: dict[Tree, Fraction] = {}
-        for t, c in terms.items():
-            axpy(acc, memo_normal_form(t, self._step, self._memo), c)
-        return acc
+        """The normal form of ``terms``, empty exactly when it is 0."""
+        return fraction_terms(*normal_form(terms, self._step, self._memo))
 
     def nf_element(self, f: OperadElement) -> OperadElement:
         return OperadElement(self.nf_terms(f.terms), f.arity)

@@ -164,6 +164,8 @@ def parse_element(text: str, gens: Sequence[GeneratorSymbol],
                     if kind3 != "int":
                         raise ParseError("expected denominator", tokens.line, col3)
                     den = int(val3)
+                    if den == 0:
+                        raise ParseError("zero denominator", tokens.line, col3)
                 coeff = coeff * Fraction(num, den)
                 tok3 = tokens.peek()
                 if tok3 is not None and tok3[1] == "*":

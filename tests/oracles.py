@@ -8,6 +8,9 @@ the scan uses the reducer's lead index, which ``test_groebner`` checks
 against trying every rule at every position.
 Differential Poisson normal forms are recomputed by a greatest-first
 worklist that does not share the memoized normal-form engine.
+``fraction_memo_normal_form`` and ``fraction_echelon`` are the two kernels
+of ``elements`` as they were over :class:`Fraction`, before they moved to
+integer arithmetic; the integer kernels must agree with them exactly.
 ``PoissonModel`` is a concrete differential Poisson algebra on polynomials,
 in which every identity of differential Poisson algebras evaluates to zero.
 """
@@ -17,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from operadgb.commutative import ZERO, Poly
-from operadgb.elements import OperadElement, shuffle_compose
+from operadgb.elements import OperadElement, axpy, reduce_row, shuffle_compose
 from operadgb.presentation import Presentation
 from operadgb.trees import (
     ShufflePartition,
@@ -132,6 +135,61 @@ def worklist_normal_form(ctx, poly: dict) -> dict:
             if not work[pm2]:
                 del work[pm2]
     return out
+
+
+def fraction_memo_normal_form(m, step, memo: dict) -> dict:
+    """Normal form of the monomial ``m`` over :class:`Fraction`:
+    ``step(m)`` is the one rewrite of ``m`` as ``{monomial: coeff}`` or
+    ``None``, and ``memo`` keeps each normal form as a Fraction dict."""
+    cached = memo.get(m)
+    if cached is not None:
+        return cached
+    pending: dict = {}
+    stack = [m]
+    while stack:
+        cur = stack[-1]
+        if cur in memo:
+            stack.pop()
+            continue
+        rewritten = pending.get(cur)
+        if rewritten is None:
+            rewritten = step(cur)
+            if rewritten is None:
+                memo[cur] = {cur: Fraction(1)}
+                stack.pop()
+                continue
+            pending[cur] = rewritten
+        missing = [t for t in rewritten if t not in memo]
+        if missing:
+            if any(t in pending for t in missing):
+                raise ValueError(f"rewriting does not terminate at {cur!r}")
+            stack.extend(missing)
+            continue
+        acc: dict = {}
+        for t, c in rewritten.items():
+            axpy(acc, memo[t], c)
+        memo[cur] = acc
+        del pending[cur]
+        stack.pop()
+    return memo[m]
+
+
+def fraction_echelon(rows, key, reduced: dict | None = None) -> dict:
+    """Reduced row echelon form ``{lead: monic tail}`` over
+    :class:`Fraction`: rows forward-reduced shortest first by
+    ``reduce_row``, pivots back-substituted in ascending lead order."""
+    pivots = {lead: dict(tail) for lead, tail in (reduced or {}).items()}
+    for row in sorted(rows, key=len):
+        found = reduce_row(dict(row), pivots, key)
+        if found is not None:
+            lead, tail = found
+            pivots[lead] = tail
+    for lead in sorted(pivots, key=key):
+        tail = pivots[lead]
+        for t, c in [(t, c) for t, c in tail.items() if t in pivots]:
+            del tail[t]
+            axpy(tail, pivots[t], -c)
+    return pivots
 
 
 def covered(pattern, occ) -> set:

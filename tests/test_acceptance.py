@@ -2,11 +2,11 @@
 stated tolerance (everything here is exact arithmetic, so tolerances are
 exact equalities) and prints a PASS line on success.
 
-The arity-6 dimension is a long computation and runs only when
-OPERADGB_EXTENDED=1 (a few minutes of completion work).
+The arity-6 dimensions are long computations and run only when
+OPERADGB_EXTENDED=1 (about 20 s for gd and 3 minutes for wsgd).
 """
 
-import os
+import hashlib
 import random
 from collections import Counter
 from itertools import permutations
@@ -31,7 +31,12 @@ from operadgb.gdmodels import (
     classify_2dim,
     verify_embedding,
 )
-from operadgb.groebner import buchberger, reduce_element, reduce_random
+from operadgb.groebner import (
+    buchberger,
+    reduce_element,
+    reduce_random,
+    save_basis,
+)
 from operadgb.hilbert import count_normal_monomials
 from operadgb.presentation import (
     JACOBI,
@@ -58,7 +63,6 @@ from published_relations import (
 )
 
 BUILTINS = builtin_presentations()
-EXTENDED = os.environ.get("OPERADGB_EXTENDED") == "1"
 
 
 @pytest.fixture(scope="module")
@@ -87,12 +91,20 @@ def test_criterion_1_gd_dimension_table(gd5):
     report("1: dim GD(1..5) = 1, 3, 17, 140, 1524  PASS")
 
 
+def basis_sha256(basis, tmp_path) -> str:
+    """sha256 of the file ``save_basis`` writes, as ``gb -o`` would."""
+    path = tmp_path / "saved.basis"
+    save_basis(basis, str(path))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.extended
-@pytest.mark.skipif(not EXTENDED, reason="set OPERADGB_EXTENDED=1 to run")
-def test_criterion_1_extended_gd_dimension_6():
+def test_criterion_1_extended_gd_dimension_6(tmp_path):
     basis = buchberger(BUILTINS["gd"], 6)
     assert basis.rule_counts()[6] == 247
     assert count_normal_monomials(basis, 6) == 20699
+    assert basis_sha256(basis, tmp_path) == \
+        "8f17e0b2eaaae731c324e189c39e3bf14f43b75dbd67de00b006a76e3345b5ee"
     report("1 (extended): 247 rules at arity 6, dim GD(6) = 20699  PASS")
 
 
@@ -101,6 +113,16 @@ def test_criterion_2_wsgd_dimension_table(wsgd5):
     dims = [count_normal_monomials(wsgd5, n) for n in range(1, 6)]
     assert dims == [1, 3, 17, 130, 1219]
     report("2: dim wSGD(1..5) = 1, 3, 17, 130, 1219  PASS")
+
+
+@pytest.mark.extended
+def test_criterion_2_extended_wsgd_dimension_6(tmp_path):
+    basis = buchberger(BUILTINS["wsgd"], 6)
+    assert basis.rule_counts()[6] == 662
+    assert count_normal_monomials(basis, 6) == 13412
+    assert basis_sha256(basis, tmp_path) == \
+        "8e8e42516edfe49384365ceef4d66d52100de0bcfe4d9fcdf49e50fc164b124e"
+    report("2 (extended): 662 rules at arity 6, dim wSGD(6) = 13412  PASS")
 
 
 def test_criterion_3_ideal_membership(gd4, wsgd5):

@@ -1,5 +1,4 @@
 import hashlib
-import os
 
 import pytest
 
@@ -52,6 +51,26 @@ def test_reduce_own_relation_to_zero(tmp_path, capsys):
                         "--input", str(elem_path)], capsys)
     assert code == 0
     assert out.strip().endswith(": 0")
+
+
+def test_zero_denominator_is_a_parse_error(tmp_path, capsys):
+    """``3/0`` is reported at the denominator's line and column, by both
+    commands that parse elements, instead of raising ZeroDivisionError."""
+    pres_path = tmp_path / "p.txt"
+    pres_path.write_text("operad p\nextends gd\nrelations:\n"
+                         "x(x(1 2) 3) - 3/0 x(1 x(2 3))\n")
+    code, _out, err = run(["gb", "--input", str(pres_path),
+                           "--max-arity", "3"], capsys)
+    assert (code, err) == (1, "error: line 4, column 17: zero denominator\n")
+    basis_path = str(tmp_path / "gd3.basis")
+    assert main(["gb", "--preset", "gd", "--max-arity", "3",
+                 "-o", basis_path]) == 0
+    capsys.readouterr()
+    elem_path = tmp_path / "elem.txt"
+    elem_path.write_text("x(x(1 2) 3)\n3/0 x(1 x(2 3))\n")
+    code, _out, err = run(["reduce", "--basis", basis_path,
+                           "--input", str(elem_path)], capsys)
+    assert (code, err) == (1, "error: line 2, column 3: zero denominator\n")
 
 
 def test_reduce_spec1_nonzero_mod_gd(tmp_path, capsys):
@@ -160,8 +179,6 @@ def test_ambiguities_trace_is_pinned(degree, modulo, capsys):
 
 
 @pytest.mark.extended
-@pytest.mark.skipif(os.environ.get("OPERADGB_EXTENDED") != "1",
-                    reason="set OPERADGB_EXTENDED=1 to run")
 @pytest.mark.parametrize("modulo", ["wsgd", "gd"])
 def test_ambiguities_degree5_is_pinned(modulo, capsys):
     """Degree 5 is the first with P-rules on 4-letter chains."""

@@ -240,7 +240,8 @@ def test_trace_does_not_depend_on_the_memo(gd4):
         pm = _transplant(amb.monomial, fresh)
         starts = [fresh.apply(pm, app) for app in (amb.app1, amb.app2)]
         fresh.normal_form(starts[0])
-        reducible = [m for m, nf in fresh._nf_memo.items() if m not in nf]
+        reducible = [m for m, (_den, nf) in fresh._nf_memo.items()
+                     if m not in nf]
         got = [fresh.trace(start) for start in starts]
         assert len(got[0]) == len(reducible) > 0
         want = [warm.trace(warm.apply(amb.monomial, app))

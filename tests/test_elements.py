@@ -199,10 +199,11 @@ def test_axpy_never_mutates_terms():
     f = OperadElement({m: Fraction(i % 5 - 2) for i, m in
                        enumerate(all_trees(basis.generators, 4))}, 4)
     first = reducer.nf_terms(f.terms)
-    snapshot = {m: dict(nf) for m, nf in reducer._memo.items()}
+    snapshot = {m: (den, dict(nf)) for m, (den, nf) in reducer._memo.items()}
     assert reducer.nf_terms(f.terms) == first
     assert reducer.nf_terms(f.scale(3).terms) == OperadElement(first, 4).scale(3).terms
-    assert {m: dict(nf) for m, nf in reducer._memo.items()} == snapshot
+    assert {m: (den, dict(nf)) for m, (den, nf) in reducer._memo.items()} \
+        == snapshot
 
 
 def test_memo_normal_form_is_linear_and_steps_each_monomial_once():
@@ -212,17 +213,17 @@ def test_memo_normal_form_is_linear_and_steps_each_monomial_once():
 
     def step(n):
         calls.append(n)
-        return {n - 1: Fraction(1), n - 2: Fraction(1)} if n >= 2 else None
+        return (1, {n - 1: 1, n - 2: 1}) if n >= 2 else None
 
     memo: dict = {}
-    assert memo_normal_form(30, step, memo) == {1: 832040, 0: 514229}
+    assert memo_normal_form(30, step, memo) == (1, {1: 832040, 0: 514229})
     assert sorted(calls) == list(range(31))
-    assert memo_normal_form(20, step, memo) == {1: 6765, 0: 4181}
+    assert memo_normal_form(20, step, memo) == (1, {1: 6765, 0: 4181})
     assert len(calls) == 31
 
 
 def test_memo_normal_form_deep_chain_and_cycle():
-    chain = memo_normal_form(5000, lambda n: {n - 1: Fraction(2)} if n else None, {})
-    assert chain == {0: Fraction(2) ** 5000}
+    chain = memo_normal_form(5000, lambda n: (1, {n - 1: 2}) if n else None, {})
+    assert chain == (1, {0: 2 ** 5000})
     with pytest.raises(ValueError, match="does not terminate"):
-        memo_normal_form(0, lambda n: {1 - n: Fraction(1)}, {})
+        memo_normal_form(0, lambda n: (1, {1 - n: 1}), {})
