@@ -101,6 +101,9 @@ def cmd_gb(args: argparse.Namespace) -> int:
 
 
 def cmd_dims(args: argparse.Namespace) -> int:
+    if args.max_arity < 0:
+        raise ParseError(f"--up-to must be 0 (the basis's max arity) or "
+                         f"positive, got {args.max_arity}", 0, 0)
     basis = load_basis(args.basis_path)
     table = emit_table(basis, min(args.max_arity or basis.max_arity,
                                   basis.max_arity))

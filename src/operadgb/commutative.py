@@ -9,9 +9,9 @@ sorted exponent tuples; the order is degree-lex.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .elements import add_term, axpy, fraction_terms, integer_form, normal_form
+from .elements import Combination, axpy, fraction_terms, integer_form, normal_form
 
 Mono = tuple  # tuple[(var, exp), ...] sorted by var, exps > 0
 
@@ -67,19 +67,10 @@ def mono_key(a: Mono):
     return (mono_degree(a), a[::-1])
 
 
-class Poly:
+class Poly(Combination):
     """Exact rational polynomial; immutable by convention."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Mono, Fraction | int] | None = None):
-        clean: dict[Mono, Fraction] = {}
-        for m, c in (terms or {}).items():
-            if not isinstance(c, Fraction):
-                c = Fraction(c)
-            if c:
-                clean[m] = c
-        self.terms = clean
+    __slots__ = ()
 
     @classmethod
     def const(cls, c) -> "Poly":
@@ -89,56 +80,29 @@ class Poly:
     def var(cls, v) -> "Poly":
         return cls({mono((v, 1)): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "Poly") -> "Poly":
-        return Poly(axpy(dict(self.terms), other.terms))
-
-    def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __mul__(self, other: "Poly") -> "Poly":
         acc: dict[Mono, Fraction] = {}
         for m1, c1 in self.terms.items():
             # m1 * m2 is injective in m2, so each row is one sparse add
             axpy(acc, {mono_mul(m1, m2): c2 for m2, c2 in other.terms.items()},
                  c1)
-        return Poly(acc)
-
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        return Poly({m: c * v for m, v in self.terms.items()})
+        return self._like(acc)
 
     def lm(self) -> Mono:
-        return max(self.terms, key=mono_key)
+        return self.lead(mono_key)
 
     def lc(self) -> Fraction:
         return self.terms[self.lm()]
 
     def diff(self, v) -> "Poly":
-        acc: dict[Mono, Fraction] = {}
+        # lowering the exponent of v is injective on the monomials with v
+        out: dict[Mono, Fraction] = {}
         for m, c in self.terms.items():
             md = dict(m)
-            e = md.get(v, 0)
-            if not e:
-                continue
-            md[v] = e - 1
-            key = tuple(sorted((w, x) for w, x in md.items() if x))
-            add_term(acc, key, c * e)
-        return Poly(acc)
+            if e := md.get(v):
+                md[v] = e - 1
+                out[tuple(sorted((w, x) for w, x in md.items() if x))] = c * e
+        return self._like(out)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -172,7 +136,7 @@ def reduce_poly(f: Poly, basis: Sequence[Poly]) -> Poly:
                 return den, {mono_mul(mg, q): v for mg, v in nums.items()}
         return None
 
-    return Poly(fraction_terms(*normal_form(f.terms, step, {})))
+    return f._like(fraction_terms(*normal_form(f.terms, step, {})))
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .trees import (
     Occurrence,
@@ -31,48 +31,40 @@ class ElementError(ValueError):
     """Ill-typed operad element arithmetic (arity or shape mismatch)."""
 
 
-class OperadElement:
-    """A formal rational combination of equal-arity shuffle tree monomials."""
+def _fractions(terms: Mapping[Hashable, Fraction | int] | None
+               ) -> Iterator[tuple[Hashable, Fraction]]:
+    """The nonzero entries of ``terms``, each coefficient a :class:`Fraction`."""
+    for t, c in (terms or {}).items():
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
+        if c:
+            yield t, c
 
-    __slots__ = ("terms", "arity")
 
-    terms: dict[Tree, Fraction]
+class Combination:
+    """An exact linear combination: ``terms`` maps each monomial to its
+    nonzero :class:`Fraction` coefficient.  The constructor validates its
+    input; arithmetic builds its results by :meth:`_like` unchecked, since
+    sums, negations and scalings of clean terms are clean.  Combinations
+    of different :meth:`_space` are never equal and cannot be added."""
 
-    def __init__(self, terms: Mapping[Tree, Fraction | int] | None = None,
-                 arity: int | None = None):
-        clean: dict[Tree, Fraction] = {}
-        for t, c in (terms or {}).items():
-            if not isinstance(t, Tree):
-                raise ElementError(f"term keys must be tree monomials, got {t!r}")
-            if not isinstance(c, Fraction):
-                c = Fraction(c)
-            if c == 0:
-                continue
-            clean[t] = c
-        arities = {t.arity for t in clean}
-        if len(arities) > 1:
-            raise ElementError(f"mixed arities in element: {sorted(arities)}")
-        if arities:
-            found = arities.pop()
-            if arity is not None and arity != found:
-                raise ElementError(f"declared arity {arity} != monomial arity {found}")
-            arity = found
-        if arity is None:
-            raise ElementError("zero element needs an explicit arity")
-        self.terms = clean
-        self.arity = arity
+    __slots__ = ("terms",)
 
-    # -- constructors ------------------------------------------------------
+    terms: dict[Hashable, Fraction]
 
-    @classmethod
-    def zero(cls, arity: int) -> "OperadElement":
-        return cls({}, arity)
+    def __init__(self, terms: Mapping[Hashable, Fraction | int] | None = None):
+        self.terms = dict(_fractions(terms))
 
-    @classmethod
-    def monomial(cls, t: Tree, coeff: Fraction | int = 1) -> "OperadElement":
-        return cls({t: Fraction(coeff)})
+    def _like(self, terms: dict[Hashable, Fraction]):
+        """A combination in the space of ``self`` with ``terms``, which
+        must already hold nonzero Fractions only."""
+        new = object.__new__(type(self))
+        new.terms = terms
+        return new
 
-    # -- structure ---------------------------------------------------------
+    def _space(self) -> str:
+        """What two combinations must share to be compared or added."""
+        return type(self).__name__
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -84,15 +76,78 @@ class OperadElement:
         return len(self.terms)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, OperadElement):
-            return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
+        return (isinstance(other, Combination) and self._space() == other._space()
+                and self.terms == other.terms)
 
     def __hash__(self) -> int:
-        return hash((self.arity, frozenset(self.terms.items())))
+        return hash((self._space(), frozenset(self.terms.items())))
 
-    def coeff(self, t: Tree) -> Fraction:
+    def coeff(self, t: Hashable) -> Fraction:
         return self.terms.get(t, Fraction(0))
+
+    def lead(self, key: Callable[[Hashable], object]) -> Hashable:
+        """The greatest monomial under ``key``."""
+        if not self.terms:
+            raise ElementError("zero element has no leading monomial")
+        return max(self.terms, key=key)
+
+    def __add__(self, other: "Combination"):
+        if other._space() != self._space():
+            raise ElementError(f"cannot add {other._space()} to {self._space()}")
+        return self._like(axpy(dict(self.terms), other.terms))
+
+    def __neg__(self):
+        return self._like({t: -c for t, c in self.terms.items()})
+
+    def __sub__(self, other: "Combination"):
+        return self + (-other)
+
+    def scale(self, c: Fraction | int):
+        c = Fraction(c)
+        if not c:
+            return self._like({})
+        return self._like({t: c * v for t, v in self.terms.items()})
+
+    def __rmul__(self, c):
+        return self.scale(c)
+
+
+class OperadElement(Combination):
+    """A formal rational combination of equal-arity shuffle tree monomials."""
+
+    __slots__ = ("arity",)
+
+    terms: dict[Tree, Fraction]
+
+    def __init__(self, terms: Mapping[Tree, Fraction | int] | None = None,
+                 arity: int | None = None):
+        self.terms = {}
+        arities = set() if arity is None else {arity}
+        for t, c in _fractions(terms):
+            if not isinstance(t, Tree):
+                raise ElementError(f"term keys must be tree monomials, got {t!r}")
+            arities.add(t.arity)
+            self.terms[t] = c
+        if len(arities) != 1:
+            raise ElementError("an element needs one arity, its declared arity "
+                               f"and monomials give {sorted(arities)}")
+        self.arity = arities.pop()
+
+    def _like(self, terms: dict[Tree, Fraction]) -> "OperadElement":
+        new = super()._like(terms)
+        new.arity = self.arity
+        return new
+
+    def _space(self) -> str:
+        return f"OperadElement of arity {self.arity}"
+
+    @classmethod
+    def zero(cls, arity: int) -> "OperadElement":
+        return cls({}, arity)
+
+    @classmethod
+    def monomial(cls, t: Tree, coeff: Fraction | int = 1) -> "OperadElement":
+        return cls({t: Fraction(coeff)})
 
     def sorted_terms(self, order: TreeOrder) -> list[tuple[Tree, Fraction]]:
         """Terms in descending monomial order."""
@@ -100,43 +155,14 @@ class OperadElement:
                       reverse=True)
 
     def leading_monomial(self, order: TreeOrder) -> Tree:
-        if not self.terms:
-            raise ElementError("zero element has no leading monomial")
-        return max(self.terms, key=order.key)
+        return self.lead(order.key)
 
     def leading_coeff(self, order: TreeOrder) -> Fraction:
-        return self.terms[self.leading_monomial(order)]
-
-    # -- linear algebra ----------------------------------------------------
-
-    def __add__(self, other: "OperadElement") -> "OperadElement":
-        if self.arity != other.arity:
-            raise ElementError(
-                f"arity mismatch in addition: {self.arity} vs {other.arity}")
-        return OperadElement(axpy(dict(self.terms), other.terms), self.arity)
-
-    def __neg__(self) -> "OperadElement":
-        return OperadElement({t: -c for t, c in self.terms.items()}, self.arity)
-
-    def __sub__(self, other: "OperadElement") -> "OperadElement":
-        return self + (-other)
-
-    def scale(self, c: Fraction | int) -> "OperadElement":
-        c = Fraction(c)
-        if c == 0:
-            return OperadElement.zero(self.arity)
-        return OperadElement({t: c * v for t, v in self.terms.items()}, self.arity)
-
-    def __rmul__(self, c) -> "OperadElement":
-        return self.scale(c)
+        return self.terms[self.lead(order.key)]
 
     def monic(self, order: TreeOrder) -> "OperadElement":
-        if not self.terms:
-            return self
-        lc = self.leading_coeff(order)
-        if lc == 1:
-            return self
-        return self.scale(Fraction(1) / lc)
+        """Scaled to leading coefficient 1; zero stays zero."""
+        return self.scale(1 / self.leading_coeff(order)) if self else self
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,11 @@ class GDTable:
                 if len(coeffs) != dim:
                     raise GDModelError(
                         f"line {lineno}: expected {dim} coefficients")
-                (circ if parts[0] == "circ" else bracket)[(i, j)] = coeffs
+                table = circ if parts[0] == "circ" else bracket
+                if (i, j) in table:
+                    raise GDModelError(f"line {lineno}: expected one "
+                                       f"'{parts[0]} {i + 1} {j + 1}' line")
+                table[(i, j)] = coeffs
             else:
                 raise GDModelError(f"line {lineno}: unknown directive {parts[0]!r}")
         if dim is None:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable, Sequence
 
 from .elements import (
@@ -119,7 +120,6 @@ class _Reducer:
         # each tail once as an integer pair, the shape of the memo's values
         self._tails = {r: integer_form(r.tail.terms) for r in self.rules}
         self._memo: dict[Tree, tuple[int, dict[Tree, int]]] = {}
-        self._div_memo: dict[Tree, tuple[RewriteRule, Occurrence] | None] = {}
 
     def occurrences(self, m: Tree):
         """Every ``(rule, occurrence)`` of a lead in ``m``, by pre-order
@@ -157,12 +157,9 @@ class _Reducer:
                 yield rule, occ
 
     def find_divisor(self, m: Tree) -> tuple[RewriteRule, Occurrence] | None:
-        """The first of ``occurrences(m)``: the divisor the strategy uses."""
-        try:
-            return self._div_memo[m]
-        except KeyError:
-            found = self._div_memo[m] = next(self.occurrences(m), None)
-            return found
+        """The first of ``occurrences(m)``: the divisor the strategy uses.
+        Not memoized: the normal-form memo steps each monomial once."""
+        return next(self.occurrences(m), None)
 
     def _step(self, m: Tree) -> tuple[int, dict[Tree, int]] | None:
         div = self.find_divisor(m)
@@ -175,9 +172,6 @@ class _Reducer:
     def nf_terms(self, terms: dict[Tree, Fraction]) -> dict[Tree, Fraction]:
         """The normal form of ``terms``, empty exactly when it is 0."""
         return fraction_terms(*normal_form(terms, self._step, self._memo))
-
-    def nf_element(self, f: OperadElement) -> OperadElement:
-        return OperadElement(self.nf_terms(f.terms), f.arity)
 
 
 class GroebnerBasis:
@@ -217,7 +211,7 @@ def _reducer_for(f: OperadElement, basis: GroebnerBasis) -> _Reducer:
 
 def reduce_element(f: OperadElement, basis: GroebnerBasis) -> OperadElement:
     """Normal form of ``f`` modulo the completed basis."""
-    return _reducer_for(f, basis).nf_element(f)
+    return f._like(_reducer_for(f, basis).nf_terms(f.terms))
 
 
 def reduce_random(f: OperadElement, basis: GroebnerBasis, rng) -> OperadElement:
@@ -226,10 +220,12 @@ def reduce_random(f: OperadElement, basis: GroebnerBasis, rng) -> OperadElement:
     Church-Rosser property of completed bases."""
     reducer = _reducer_for(f, basis)
     terms = dict(f.terms)
+    # a monomial stays in ``terms`` over many steps: test it once
+    is_reducible = cache(lambda m: reducer.find_divisor(m) is not None)
     while True:
-        reducible = [m for m in terms if reducer.find_divisor(m) is not None]
+        reducible = [m for m in terms if is_reducible(m)]
         if not reducible:
-            return OperadElement(terms, f.arity)
+            return f._like(terms)
         m = reducible[rng.randrange(len(reducible))]
         apps = list(reducer.occurrences(m))
         rule, occ = apps[rng.randrange(len(apps))]
@@ -342,8 +338,7 @@ def buchberger(p: Presentation, max_arity: int, order_id: str = "pathlex",
         pivots = _echelon(_stratum_rows(_Reducer(rules, order), K,
                                         rel_groups.get(K, ())), order)
         for lead in sorted(pivots, key=order.key):
-            tail = OperadElement(
-                {t: -c for t, c in pivots[lead].items()}, lead.arity)
+            tail = -OperadElement(pivots[lead], lead.arity)
             rules.append(RewriteRule(lead, tail, next_rid))
             next_rid += 1
         if progress is not None:
@@ -421,6 +416,10 @@ def load_basis(path: str, validate: bool = True) -> GroebnerBasis:
     body_lines = lines[7:7 + count]
     if len(body_lines) != count:
         raise BasisFormatError("truncated rules section")
+    # the checksum covers the counted rules only, so nothing may follow them
+    for n, line in enumerate(lines[7 + count:], start=8 + count):
+        if line.strip():
+            raise BasisFormatError(f"line {n}: text after the {count} rules")
     if _checksum(lines[:6], body_lines) != checksum:
         raise BasisFormatError("checksum mismatch: file corrupted")
     try:
@@ -433,6 +432,9 @@ def load_basis(path: str, validate: bool = True) -> GroebnerBasis:
             arity_str, rest = line.split(" ", 1)
             lead_str, tail_str = rest.split(" => ")
             lead = parse_monomial(lead_str, gens)
+            if arity_str != str(lead.arity):
+                raise ValueError(f"arity field {arity_str!r}, but the lead "
+                                 f"has arity {lead.arity}")
             if tail_str.strip() == "0":
                 tail = OperadElement.zero(lead.arity)
             else:
@@ -449,12 +451,14 @@ def load_basis(path: str, validate: bool = True) -> GroebnerBasis:
 def validate_interreduced(b: GroebnerBasis) -> None:
     """Check no lead divides another lead or any tail monomial: the only
     lead occurrence in a lead is the rule itself at the root."""
+    # tail monomials recur across rules: test each once
+    is_reducible = cache(lambda t: b.reducer.find_divisor(t) is not None)
     for r in b.rules:
         for other, _occ in b.reducer.occurrences(r.lead):
             if other is not r:
                 raise BasisFormatError(
                     f"lead {r.lead} divisible by lead {other.lead}")
         for t in r.tail.terms:
-            if b.reducer.find_divisor(t) is not None:
+            if is_reducible(t):
                 raise BasisFormatError(
                     f"tail monomial {t} of rule {r.lead} is reducible")

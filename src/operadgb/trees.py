@@ -9,7 +9,7 @@ divisibility is given by subtree occurrences and drives the Buchberger
 engine in :mod:`operadgb.groebner`.
 
 Trees are interned: structurally equal trees are the same object, so
-hashing and equality are cheap.  All values here are immutable, but the
+equality and hashing are by identity.  All values here are immutable, but the
 interning table and the order-key caches fill lazily and are not
 synchronized, so they are not safe to build from several threads.
 """
@@ -45,6 +45,10 @@ class GeneratorSymbol:
 class Tree:
     """Interned shuffle tree monomial; construct via :func:`leaf` / :func:`node`.
 
+    They are the only constructors and return the one tree of each
+    structure, and copies and unpickled trees are rebuilt through them, so
+    trees are equal exactly when they are identical.
+
     Attributes:
         gen: generator name at the root, or ``None`` for a leaf.
         children: tuple of subtrees (empty for a leaf).
@@ -53,7 +57,7 @@ class Tree:
         size: number of internal vertices.
     """
 
-    __slots__ = ("gen", "children", "label", "leaves", "size", "_hash")
+    __slots__ = ("gen", "children", "label", "leaves", "size")
 
     _interned: dict = {}
 
@@ -63,14 +67,15 @@ class Tree:
     leaves: tuple[int, ...]
     size: int
 
-    def __new__(cls, gen, children, label, leaves, size):
+    @classmethod
+    def _intern(cls, gen, children, label, leaves, size) -> "Tree":
         self = object.__new__(cls)
         self.gen = gen
         self.children = children
         self.label = label
         self.leaves = leaves
         self.size = size
-        self._hash = hash((gen, children, label))
+        cls._interned[gen, children, label] = self
         return self
 
     @property
@@ -85,30 +90,11 @@ class Tree:
     def min_leaf(self) -> int:
         return self.leaves[0]
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Tree):
-            return NotImplemented
-        return (self.gen == other.gen and self.label == other.label
-                and self.children == other.children)
-
     def __repr__(self) -> str:
         return f"Tree({format_tree(self)})"
 
     def __str__(self) -> str:
         return format_tree(self)
-
-    # interned and immutable: copies are the object itself, pickling rebuilds
-    # through the interning constructors
-    def __copy__(self) -> "Tree":
-        return self
-
-    def __deepcopy__(self, memo) -> "Tree":
-        return self
 
     def __reduce__(self):
         if self.is_leaf:
@@ -120,10 +106,9 @@ def leaf(label: int) -> Tree:
     """The leaf monomial with the given (positive) label."""
     if label < 1:
         raise TreeError(f"leaf label must be >= 1, got {label}")
-    key = (None, (), label)
-    cached = Tree._interned.get(key)
+    cached = Tree._interned.get((None, (), label))
     if cached is None:
-        cached = Tree._interned[key] = Tree(None, (), label, (label,), 0)
+        cached = Tree._intern(None, (), label, (label,), 0)
     return cached
 
 
@@ -136,8 +121,7 @@ def node(gen: str, children: Sequence[Tree]) -> Tree:
     kids = tuple(children)
     if len(kids) < 1:
         raise TreeError("internal vertex needs at least one child")
-    key = (gen, kids, 0)
-    cached = Tree._interned.get(key)
+    cached = Tree._interned.get((gen, kids, 0))
     if cached is not None:
         return cached
     prev_min = 0
@@ -148,9 +132,7 @@ def node(gen: str, children: Sequence[Tree]) -> Tree:
         prev_min = c.min_leaf
     merged = _merge_leaves(kids)
     size = 1 + sum(c.size for c in kids)
-    tree = Tree(gen, kids, 0, merged, size)
-    Tree._interned[key] = tree
-    return tree
+    return Tree._intern(gen, kids, 0, merged, size)
 
 
 def _merge_leaves(kids: tuple[Tree, ...]) -> tuple[int, ...]:

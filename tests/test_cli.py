@@ -238,6 +238,43 @@ def test_dims_reports_a_bad_header_field(field, value, tmp_path, capsys):
     assert err.startswith("error: ") and field in err and "Traceback" not in err
 
 
+def _rule_edits(lines):
+    """A gd 3 basis with a wrong arity field under a checksum that matches
+    it, and with a rule line after the counted ones, which the checksum
+    does not cover."""
+    arity = lines[:7] + ["9" + lines[7][1:]] + lines[8:]
+    arity[6] = f"checksum: {_checksum(arity[:6], arity[7:])}"
+    return {"arity-field": (arity, "bad rule line 1: arity field '9'"),
+            "trailing-rule": (lines + [lines[7]],
+                              f"line {len(lines) + 1}: text after the")}
+
+
+@pytest.mark.parametrize("case", ["arity-field", "trailing-rule"])
+def test_dims_rejects_a_rule_line_the_checksum_does_not_vouch_for(
+        case, tmp_path, capsys):
+    path = tmp_path / "gd3.basis"
+    assert run(["gb", "--preset", "gd", "--max-arity", "3", "-o", str(path)],
+               capsys)[0] == 0
+    lines, message = _rule_edits(path.read_text().splitlines())[case]
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(["dims", "--basis", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}")
+
+
+def test_dims_rejects_a_negative_up_to(tmp_path, capsys):
+    path, rows = tmp_path / "gd3.basis", tmp_path / "rows.csv"
+    assert run(["gb", "--preset", "gd", "--max-arity", "3", "-o", str(path)],
+               capsys)[0] == 0
+    code, out, err = run(["dims", "--basis", str(path), "--up-to", "-1",
+                          "-o", str(rows)], capsys)
+    assert (code, out) == (1, "") and err.startswith("error: ")
+    assert not rows.exists()
+    # 0 is the basis's own max arity
+    assert run(["dims", "--basis", str(path), "--up-to", "0"], capsys) \
+        == run(["dims", "--basis", str(path)], capsys)
+
+
 @pytest.mark.parametrize("table, message", [
     ("dim 2\ncirc 0 1 = 1 0\n", "line 2: expected an integer in 1..2, got '0'"),
     ("dim 2\ncirc 1 3 = 1 0\n", "line 2: expected an integer in 1..2, got '3'"),
@@ -251,6 +288,10 @@ def test_dims_reports_a_bad_header_field(field, value, tmp_path, capsys):
      "line 2: coefficients must be rationals like -3/2, got '1/0 0'"),
     ("dim\n", "line 1: expected one 'dim n' line"),
     ("dim 2\ncirc 1 1 = 1 0\ndim 3\n", "line 3: expected one 'dim n' line"),
+    ("dim 2\ncirc 1 1 = 1 0\ncirc 1 1 = 0 0\nbracket 1 2 = 0 1\n",
+     "line 3: expected one 'circ 1 1' line"),
+    ("dim 2\nbracket 1 2 = 0 1\nbracket 1 2 = 0 1\n",
+     "line 3: expected one 'bracket 1 2' line"),
 ])
 def test_check_gd_rejects_a_misread_table(table, message, tmp_path, capsys):
     path = tmp_path / "bad.gd"

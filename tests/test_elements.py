@@ -61,6 +61,56 @@ def test_leading_and_monic():
     assert g.coeff(t("x", 1, 2)) == Fraction(1, 2)
 
 
+def _clean(c):
+    """``c`` equals what the validating constructor makes of its terms:
+    every coefficient a nonzero Fraction."""
+    again = type(c)(c.terms, c.arity) if isinstance(c, OperadElement) \
+        else type(c)(c.terms)
+    return c == again and all(type(v) is Fraction and v
+                              for v in c.terms.values())
+
+
+def test_arithmetic_results_are_what_the_constructor_makes():
+    """Arithmetic builds its results without the constructor's checks;
+    on random inputs, with cancellations, they must pass them anyway."""
+    from operadgb.commutative import Poly, mono
+
+    rng = random.Random(13)
+    coeffs = [-2, -1, Fraction(-1, 2), 1, Fraction(3, 4), 2]
+    mons = all_trees(GENS, 3)
+    pmons = [mono(*pairs) for pairs in
+             [(), (("u", 1),), (("v", 2),), (("u", 1), ("v", 1)), (("u", 3),)]]
+    for _ in range(60):
+        f, g = (OperadElement({m: rng.choice(coeffs)
+                               for m in rng.sample(mons, 4)}, 3)
+                for _ in range(2))
+        p, q = (Poly({m: rng.choice(coeffs) for m in rng.sample(pmons, 3)})
+                for _ in range(2))
+        c = rng.choice(coeffs + [0])
+        for r in (f + g, f - g, f - f, -f, f.scale(c), c * f, f.monic(ORDER),
+                  p + q, p - q, p - p, -p, p.scale(c), c * p, p * q,
+                  p * (q - q), p.diff("u"), p.diff("v"), p.diff("w")):
+            assert _clean(r)
+    assert (f - f).arity == f.scale(0).arity == 3
+
+
+def test_different_spaces_do_not_mix():
+    from operadgb.commutative import Poly
+
+    f, g = mono(t("x", 1, 2)), mono(t("z", t("z", 1, 2), 3))
+    p = Poly.var("u")
+    for a, b in ((f, g), (g, f), (p, f), (f, p)):
+        with pytest.raises(ElementError):
+            a + b
+        with pytest.raises(ElementError):
+            a - b
+        assert a != b
+    assert OperadElement.zero(2) != OperadElement.zero(3)
+    assert OperadElement.zero(2) == f - f
+    assert Poly() != OperadElement.zero(2)
+    assert len({OperadElement.zero(2), OperadElement.zero(3), Poly()}) == 3
+
+
 def test_compose_identity_axiom():
     rng = random.Random(3)
     mons = all_trees(GENS, 3)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import combinations
 
@@ -59,6 +61,18 @@ def test_interning_and_equality():
     assert a is b
     assert a == b and hash(a) == hash(b)
     assert t("x", 1, 2) != t("y", 1, 2)
+
+
+def test_copies_and_pickles_are_the_interned_tree():
+    """Trees are equal exactly when identical, so every way to obtain a
+    tree again must return the interned object."""
+    a = t("z", t("y", 1, 3), 2)
+    assert copy.copy(a) is a
+    assert copy.deepcopy(a) is a
+    assert copy.deepcopy({a: [a]}) == {a: [a]}
+    assert pickle.loads(pickle.dumps(a)) is a
+    assert pickle.loads(pickle.dumps(leaf(4))) is leaf(4)
+    assert node("z", [node("y", [leaf(1), leaf(3)]), leaf(2)]) is a
 
 
 def test_compare_basics():
