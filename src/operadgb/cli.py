@@ -66,15 +66,19 @@ EXIT_BUDGET = 2
 EXIT_NONZERO = 3
 
 
+class UsageError(ValueError):
+    """A bad command-line argument; it has no source position."""
+
+
 def _load_presentation(args: argparse.Namespace):
     if args.preset:
         builtins = builtin_presentations()
         if args.preset not in builtins:
-            raise ParseError(f"unknown preset {args.preset!r}; "
-                             f"known: {sorted(builtins)}", 0, 0)
+            raise UsageError(f"unknown preset {args.preset!r}; "
+                             f"known: {sorted(builtins)}")
         return builtins[args.preset]
     if not args.input_path:
-        raise ParseError("need --preset or --input", 0, 0)
+        raise UsageError("need --preset or --input")
     with open(args.input_path, encoding="utf-8") as fh:
         return parse_presentation(fh.read())
 
@@ -102,11 +106,10 @@ def cmd_gb(args: argparse.Namespace) -> int:
 
 def cmd_dims(args: argparse.Namespace) -> int:
     if args.max_arity < 0:
-        raise ParseError(f"--up-to must be 0 (the basis's max arity) or "
-                         f"positive, got {args.max_arity}", 0, 0)
+        raise UsageError(f"--up-to must be 0 (the basis's max arity) or "
+                         f"positive, got {args.max_arity}")
     basis = load_basis(args.basis_path)
-    table = emit_table(basis, min(args.max_arity or basis.max_arity,
-                                  basis.max_arity))
+    table = emit_table(basis, args.max_arity or basis.max_arity)
     print(table.as_text())
     if args.output_path:
         with open(args.output_path, "w", encoding="utf-8") as fh:
@@ -123,13 +126,13 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             f"refusing a reduction tagged {args.order_id!r}")
     if args.identity:
         if args.identity not in NAMED_IDENTITIES:
-            raise ParseError(f"unknown identity {args.identity!r}; known: "
-                             f"{sorted(NAMED_IDENTITIES)}", 0, 0)
+            raise UsageError(f"unknown identity {args.identity!r}; known: "
+                             f"{sorted(NAMED_IDENTITIES)}")
         elems = shuffle_images(args.identity)
         label = args.identity
     else:
         if not args.input_path:
-            raise ParseError("need --input or --identity", 0, 0)
+            raise UsageError("need --input or --identity")
         with open(args.input_path, encoding="utf-8") as fh:
             lines = [l.split("#", 1)[0].strip() for l in fh.read().splitlines()]
         elems = [parse_element(l, basis.generators, line=i + 1)
@@ -285,7 +288,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ParseError, TreeError, GroebnerError, GDModelError,
+    except (UsageError, ParseError, TreeError, GroebnerError, GDModelError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -162,27 +162,3 @@ def groebner_report(basis: Sequence[Poly]) -> list[tuple[int, int, Poly]]:
 
 def is_groebner(basis: Sequence[Poly]) -> bool:
     return not groebner_report(basis)
-
-
-def normal_monomials_up_to(basis: Sequence[Poly], variables: Sequence,
-                           max_degree: int) -> list[Mono]:
-    """Monomials in the given variables, of total degree <= max_degree, not
-    divisible by any lead of the basis."""
-    leads = [g.lm() for g in basis if g]
-    out: list[Mono] = [ONE]
-    frontier: list[Mono] = [ONE]
-    for _ in range(max_degree):
-        nxt: list[Mono] = []
-        seen: set[Mono] = set()
-        for m in frontier:
-            for v in variables:
-                m2 = mono_mul(m, mono((v, 1)))
-                if m2 in seen:
-                    continue
-                seen.add(m2)
-                if any(mono_divides(l, m2) for l in leads):
-                    continue
-                nxt.append(m2)
-        out.extend(nxt)
-        frontier = nxt
-    return out

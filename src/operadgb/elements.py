@@ -154,9 +154,6 @@ class OperadElement(Combination):
         return sorted(self.terms.items(), key=lambda tc: order.key(tc[0]),
                       reverse=True)
 
-    def leading_monomial(self, order: TreeOrder) -> Tree:
-        return self.lead(order.key)
-
     def leading_coeff(self, order: TreeOrder) -> Fraction:
         return self.terms[self.lead(order.key)]
 

@@ -439,9 +439,9 @@ def load_basis(path: str, validate: bool = True) -> GroebnerBasis:
                 tail = OperadElement.zero(lead.arity)
             else:
                 tail = parse_element(tail_str, gens)
+            rules.append(RewriteRule(lead, tail, i))
         except (ValueError, TreeError) as exc:
             raise BasisFormatError(f"bad rule line {i + 1}: {exc}") from None
-        rules.append(RewriteRule(lead, tail, i))
     basis = GroebnerBasis(pres_name, gens, order_id, max_arity, rules)
     if validate:
         validate_interreduced(basis)

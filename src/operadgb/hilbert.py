@@ -52,7 +52,7 @@ class NormalMonomials:
             raise BudgetExceededError("arity must be >= 1")
         _check_completed(self.basis, n)
         result = tuple(
-            cand for g in self.basis.generators if 2 <= g.arity <= n
+            cand for g in self.basis.generators if g.arity <= n
             for kids in shuffle_graftings(n, g.arity, self.level)
             if not self._root_reducible(cand := node(g.name, kids)))
         self._levels[n] = result

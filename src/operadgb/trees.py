@@ -27,7 +27,8 @@ class TreeError(ValueError):
 
 @dataclass(frozen=True)
 class GeneratorSymbol:
-    """A named operad generator of fixed arity."""
+    """A named operad generator of fixed arity, at least 2: a unary one
+    would make every component infinite-dimensional."""
 
     name: str
     arity: int
@@ -35,8 +36,8 @@ class GeneratorSymbol:
     def __post_init__(self) -> None:
         if not self.name or not self.name[0].isalpha():
             raise TreeError(f"bad generator name {self.name!r}")
-        if self.arity < 1:
-            raise TreeError(f"generator {self.name}: arity must be >= 1")
+        if self.arity < 2:
+            raise TreeError(f"generator {self.name}: arity must be >= 2")
 
     def __str__(self) -> str:
         return f"{self.name}/{self.arity}"
@@ -464,10 +465,6 @@ def _block_graftings(sizes: Sequence[int], levels: Sequence[Sequence[Tree]],
 def all_trees(gens: Sequence[GeneratorSymbol], n: int) -> tuple[Tree, ...]:
     """All shuffle tree monomials of arity ``n`` over the given generators,
     with leaves labelled 1..n.  Cached per (generators, n)."""
-    for g in gens:
-        if g.arity < 2:
-            raise TreeError(
-                f"enumeration requires generator arity >= 2 (got {g})")
     key = (_gens_sig(gens), n)
     cached = _ALL_TREES.get(key)
     if cached is not None:

@@ -13,13 +13,25 @@ of ``elements`` as they were over :class:`Fraction`, before they moved to
 integer arithmetic; the integer kernels must agree with them exactly.
 ``PoissonModel`` is a concrete differential Poisson algebra on polynomials,
 in which every identity of differential Poisson algebras evaluates to zero.
+``swept_envelope_checks`` is the envelope check by sampling: the Jacobi
+identity on every ordered generator triple and derivation compatibility on
+every ordered pair of normal monomials up to degree 6.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
-from operadgb.commutative import ZERO, Poly
+from operadgb.commutative import (
+    ONE,
+    ZERO,
+    Poly,
+    mono,
+    mono_divides,
+    mono_mul,
+    reduce_poly,
+)
 from operadgb.elements import OperadElement, axpy, reduce_row, shuffle_compose
 from operadgb.presentation import Presentation
 from operadgb.trees import (
@@ -258,3 +270,47 @@ class PoissonModel:
 
     def circ(self, f: Poly, g: Poly) -> Poly:
         return f * self.d(g)
+
+
+def normal_monomials_up_to(basis, variables, max_degree: int) -> list:
+    """Monomials in the given variables, of total degree <= max_degree, not
+    divisible by any lead of the basis."""
+    leads = [g.lm() for g in basis if g]
+    out = [ONE]
+    frontier = [ONE]
+    for _ in range(max_degree):
+        nxt = []
+        seen = set()
+        for m in frontier:
+            for v in variables:
+                m2 = mono_mul(m, mono((v, 1)))
+                if m2 in seen:
+                    continue
+                seen.add(m2)
+                if any(mono_divides(l, m2) for l in leads):
+                    continue
+                nxt.append(m2)
+        out.extend(nxt)
+        frontier = nxt
+    return out
+
+
+def swept_envelope_checks(env, max_degree: int = 6) -> tuple[str, str]:
+    """The first failing generator triple of the Jacobi identity and the
+    first failing pair of normal monomials of derivation compatibility, both
+    modulo the envelope's relations and in product order, or "" for a check
+    that passes."""
+    rels = list(env.relations)
+    br, d = env.lie_bracket, env.d
+    gens = [Poly.var(g) for g in env.generators]
+    jacobi = next((f"({g1},{g2},{g3})"
+                   for (g1, p1), (g2, p2), (g3, p3) in
+                   product(zip(env.generators, gens), repeat=3)
+                   if reduce_poly(br(p1, br(p2, p3)) + br(p2, br(p3, p1))
+                                  + br(p3, br(p1, p2)), rels)), "")
+    normals = [Poly({m: 1}) for m in
+               normal_monomials_up_to(rels, env.generators, max_degree)]
+    derivation = next((f"d{{{f},{g}}}" for f, g in product(normals, repeat=2)
+                       if reduce_poly(d(br(f, g)) - br(d(f), g) - br(f, d(g)),
+                                      rels)), "")
+    return jacobi, derivation

@@ -221,6 +221,7 @@ def test_saved_basis_and_dims_are_pinned(preset, arity, tmp_path, capsys):
     ("max_arity", "3x"),
     ("rules", "ten"),
     ("generators", "x y/2 z/2"),
+    ("generators", "x/2 y/2 z/2 u/1"),
 ])
 def test_dims_reports_a_bad_header_field(field, value, tmp_path, capsys):
     """A header field that does not parse is a format error, even under a
@@ -241,15 +242,20 @@ def test_dims_reports_a_bad_header_field(field, value, tmp_path, capsys):
 def _rule_edits(lines):
     """A gd 3 basis with a wrong arity field under a checksum that matches
     it, and with a rule line after the counted ones, which the checksum
-    does not cover."""
+    does not cover, and with a rule whose tail has a smaller arity than
+    its lead under a checksum that matches it."""
     arity = lines[:7] + ["9" + lines[7][1:]] + lines[8:]
     arity[6] = f"checksum: {_checksum(arity[:6], arity[7:])}"
+    tail = lines[:7] + [lines[7].split(" => ")[0] + " => x(1 2)"] + lines[8:]
+    tail[6] = f"checksum: {_checksum(tail[:6], tail[7:])}"
     return {"arity-field": (arity, "bad rule line 1: arity field '9'"),
             "trailing-rule": (lines + [lines[7]],
-                              f"line {len(lines) + 1}: text after the")}
+                              f"line {len(lines) + 1}: text after the"),
+            "tail-arity": (tail, "bad rule line 1: rule tail arity differs")}
 
 
-@pytest.mark.parametrize("case", ["arity-field", "trailing-rule"])
+@pytest.mark.parametrize("case", ["arity-field", "trailing-rule",
+                                  "tail-arity"])
 def test_dims_rejects_a_rule_line_the_checksum_does_not_vouch_for(
         case, tmp_path, capsys):
     path = tmp_path / "gd3.basis"
@@ -273,6 +279,55 @@ def test_dims_rejects_a_negative_up_to(tmp_path, capsys):
     # 0 is the basis's own max arity
     assert run(["dims", "--basis", str(path), "--up-to", "0"], capsys) \
         == run(["dims", "--basis", str(path)], capsys)
+
+
+def test_dims_refuses_an_up_to_beyond_the_basis(tmp_path, capsys):
+    """A table past the completed arities is a budget error, not a table
+    cut short at the basis's max arity."""
+    path = tmp_path / "gd3.basis"
+    assert run(["gb", "--preset", "gd", "--max-arity", "3", "-o", str(path)],
+               capsys)[0] == 0
+    assert run(["dims", "--basis", str(path), "--up-to", "4"], capsys) == (
+        2, "", "error: table up to arity 4 exceeds completed range 3\n")
+    code, out, _ = run(["dims", "--basis", str(path), "--up-to", "3"], capsys)
+    assert code == 0 and out.splitlines()[-1].split()[1:] == ["1", "3", "17"]
+
+
+def test_gb_rejects_a_unary_generator(tmp_path, capsys):
+    """A unary generator makes every component infinite-dimensional; it
+    was accepted and ``dims`` printed finite counts."""
+    path = tmp_path / "unary.txt"
+    path.write_text("operad unary\ngenerators x/2 u/1\nrelations:\n"
+                    "x(x(1 2) 3) - x(1 x(2 3))\n")
+    assert run(["gb", "--input", str(path), "--max-arity", "3"], capsys) == (
+        1, "", "error: generator u: arity must be >= 2\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gb", "--preset", "nope"], "unknown preset 'nope'; known: "
+     "['gd', 'lie', 'novikov', 'wsgd']"),
+    (["gb"], "need --preset or --input"),
+    (["reduce", "--basis", "{basis}"], "need --input or --identity"),
+    (["reduce", "--basis", "{basis}", "--identity", "nope"],
+     "unknown identity 'nope'; known: "),
+    (["dims", "--basis", "{basis}", "--up-to", "-2"],
+     "--up-to must be 0 (the basis's max arity) or positive, got -2"),
+], ids=["preset", "no-input", "no-element", "identity", "up-to"])
+def test_usage_errors_have_no_position(argv, message, tmp_path, capsys):
+    basis = tmp_path / "gd3.basis"
+    assert run(["gb", "--preset", "gd", "--max-arity", "3", "-o", str(basis)],
+               capsys)[0] == 0
+    code, out, err = run([a.format(basis=basis) for a in argv], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert "line" not in err
+
+
+def test_unknown_extends_keeps_its_line(tmp_path, capsys):
+    path = tmp_path / "p.txt"
+    path.write_text("operad p\nextends nope\nrelations:\n")
+    assert run(["gb", "--input", str(path)], capsys) == (
+        1, "", "error: line 2, column 1: unknown preset 'nope'\n")
 
 
 @pytest.mark.parametrize("table, message", [

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,11 @@ from operadgb.commutative import (
     mono,
     mono_key,
     mono_mul,
-    normal_monomials_up_to,
     reduce_poly,
 )
 from operadgb.gdmodels import (
     CheckReport,
+    EnvelopeSpec,
     GDModelError,
     GDTable,
     bracket1_check,
@@ -28,6 +29,7 @@ from operadgb.gdmodels import (
     classify_2dim,
     verify_embedding,
 )
+from oracles import swept_envelope_checks
 
 
 def test_zero_table_passes_all_axioms():
@@ -189,14 +191,78 @@ def test_case3_embedding_with_derivation_compat_to_degree6():
 
 def test_case3_relations_are_groebner():
     env = case3_envelope()
-    assert is_groebner(list(env.relations))
+    rels = list(env.relations)
+    assert is_groebner(rels)
+
+    def normal(m):
+        return reduce_poly(Poly({m: 1}), rels) == Poly({m: 1})
+
     # normal monomials are u^n, u^m v (plus 1, u', v')
-    normals = normal_monomials_up_to(list(env.relations), env.generators, 5)
-    names = {m for m in normals}
-    assert mono(("u", 3)) in names
-    assert mono(("u", 2), ("v", 1)) in names
-    assert mono(("v", 2)) not in names
-    assert mono(("u", 1), ("u'", 1)) not in names
+    assert normal(mono(("u", 3)))
+    assert normal(mono(("u", 2), ("v", 1)))
+    assert not normal(mono(("v", 2)))
+    assert not normal(mono(("u", 1), ("u'", 1)))
+
+
+DERIVATION_CHECK = "derivation compatible with bracket (degree <= 6)"
+
+
+def _perturbed(env):
+    """``env`` with one bracket or derivation entry plus a generator, for
+    each entry and each of the first and the last generator."""
+    for g in dict.fromkeys((env.generators[0], env.generators[-1])):
+        plus = Poly.var(g)
+        for k, value in env.bracket.items():
+            yield replace(env, bracket={**env.bracket, k: value + plus})
+        for k, value in env.derivation.items():
+            yield replace(env, derivation={**env.derivation, k: value + plus})
+
+
+# each envelope with the checks that some perturbation of it breaks
+ENVELOPES = {
+    "case2(1)": (case2_table(1), case2_envelope(1), {DERIVATION_CHECK}),
+    "case2(3)": (case2_table(3), case2_envelope(3), {DERIVATION_CHECK}),
+    "case2(-2/5)": (case2_table(Fraction(-2, 5)),
+                    case2_envelope(Fraction(-2, 5)), {DERIVATION_CHECK}),
+    "case3": (case3_table(), case3_envelope(),
+              {"jacobi identity", DERIVATION_CHECK}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENVELOPES))
+def test_envelope_checks_on_generators_match_the_degree6_sweep(name):
+    """Checking Jacobi on sorted generator triples and derivation
+    compatibility on sorted generator pairs gives the verdicts, and the
+    Jacobi witness, of the sweep over ordered triples and over ordered
+    pairs of normal monomials up to degree 6."""
+    table, env, breaks = ENVELOPES[name]
+    broken = set()
+    for spec in (env, *_perturbed(env)):
+        rep = CheckReport()
+        verify_embedding(table, spec, rep)
+        got = {n: (ok, w) for n, ok, w in rep.checks}
+        jacobi, derivation = swept_envelope_checks(spec)
+        assert got["jacobi identity"] == (not jacobi, jacobi)
+        assert got[DERIVATION_CHECK][0] == (not derivation)
+        broken |= {n for n in ("jacobi identity", DERIVATION_CHECK)
+                   if not got[n][0]}
+    assert broken == breaks
+
+
+def test_envelope_spec_rejects_a_bracket_that_is_not_antisymmetric():
+    x, y = Poly.var("x"), Poly.var("y")
+    for bracket in ({("x", "y"): x, ("y", "x"): x},
+                    {("x", "y"): x, ("y", "x"): Poly()},
+                    {("x", "x"): y}):
+        with pytest.raises(GDModelError, match="not antisymmetric"):
+            EnvelopeSpec(("x", "y"), (), bracket, {})
+    # one orientation, both as negatives, and a zero {g, g} are accepted
+    spec = EnvelopeSpec(("x", "y"), (), {("x", "y"): x, ("y", "x"): -x,
+                                         ("x", "x"): Poly()}, {})
+    assert spec.pair_bracket("y", "x") == -x
+    # and stays so: the checked bracket cannot be edited in place
+    with pytest.raises(TypeError):
+        spec.bracket[("y", "x")] = x
 
 
 def test_case3_derivation_closed_form():
@@ -214,7 +280,8 @@ def test_case3_derivation_closed_form():
 
 def test_corrupted_case3_bracket_detected():
     env = case3_envelope()
-    env.bracket[("u", "v'")] = Poly.var("v'")  # should be 2v'
+    env = replace(env, bracket={**env.bracket,
+                                ("u", "v'"): Poly.var("v'")})  # should be 2v'
     rep = CheckReport()
     assert not verify_embedding(case3_table(), env, rep)
     failing = {n for n, ok, _ in rep.checks if not ok}
