@@ -151,8 +151,8 @@ class OperadElement(Combination):
 
     def sorted_terms(self, order: TreeOrder) -> list[tuple[Tree, Fraction]]:
         """Terms in descending monomial order."""
-        return sorted(self.terms.items(), key=lambda tc: order.key(tc[0]),
-                      reverse=True)
+        terms = self.terms
+        return [(t, terms[t]) for t in sorted(terms, key=order.key, reverse=True)]
 
     def leading_coeff(self, order: TreeOrder) -> Fraction:
         return self.terms[self.lead(order.key)]

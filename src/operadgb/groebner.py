@@ -423,8 +423,9 @@ def load_basis(path: str, validate: bool = True) -> GroebnerBasis:
     if _checksum(lines[:6], body_lines) != checksum:
         raise BasisFormatError("checksum mismatch: file corrupted")
     try:
-        gens = parse_generators(gen_spec, 4)
-    except (ValueError, TreeError) as exc:
+        gens = parse_generators(gen_spec, 4,
+                                lines[3].index(gen_spec, len("generators:")) + 1)
+    except ValueError as exc:
         raise BasisFormatError(f"bad header field 'generators': {exc}") from None
     rules: list[RewriteRule] = []
     for i, line in enumerate(body_lines):

@@ -22,10 +22,11 @@ conversion.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .elements import OperadElement, add_term
 from .syntax import ParseError, parse_element, parse_generators
@@ -388,14 +389,17 @@ def parse_presentation(text: str) -> Presentation:
     """
     name = None
     gens: list[GeneratorSymbol] = []
+    # each declared generator's name -> (line, column), to check a later
+    # extends against it
+    where: dict[str, tuple[int, int]] = {}
     base: Presentation | None = None
     relations: list[OperadElement] = []
-    in_relations = False
+    all_gens: tuple[GeneratorSymbol, ...] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if not in_relations:
+        if all_gens is None:
             head, _, rest = line.partition(" ")
             rest = rest.strip()
             if head == "operad":
@@ -407,31 +411,27 @@ def parse_presentation(text: str) -> Presentation:
                 if rest not in builtins:
                     raise ParseError(f"unknown preset {rest!r}", lineno, 1)
                 base = builtins[rest]
+                for g, at in where.items():
+                    if g in base.gen_names:
+                        raise ParseError(f"generator {g!r} already defined", *at)
             elif head == "generators":
-                gens.extend(parse_generators(rest, lineno))
+                col = raw.index(rest, raw.index(head) + len(head)) + 1
+                taken = (base.gen_names if base else ()) + tuple(where)
+                added = parse_generators(rest, lineno, col, taken)
+                for g, chunk in zip(added, re.finditer(r"\S+", rest)):
+                    where[g.name] = (lineno, col + chunk.start())
+                gens.extend(added)
             elif line == "relations:":
-                in_relations = True
+                all_gens = (base.generators if base else ()) + tuple(gens)
             else:
                 raise ParseError(f"unexpected directive {head!r}", lineno, 1)
         else:
-            all_gens = _merge_gens(base, gens, lineno)
             relations.append(parse_element(line, all_gens, line=lineno))
     if name is None:
         raise ParseError("missing 'operad <name>' header", 1, 1)
-    all_gens = _merge_gens(base, gens, 1)
+    if all_gens is None:
+        all_gens = (base.generators if base else ()) + tuple(gens)
     if not all_gens:
         raise ParseError("no generators declared", 1, 1)
     base_rels = base.relations if base is not None else ()
-    return Presentation(name, tuple(all_gens), tuple(base_rels) + tuple(relations))
-
-
-def _merge_gens(base: Presentation | None, gens: Sequence[GeneratorSymbol],
-                lineno: int) -> tuple[GeneratorSymbol, ...]:
-    merged: list[GeneratorSymbol] = list(base.generators) if base else []
-    names = {g.name for g in merged}
-    for g in gens:
-        if g.name in names:
-            raise ParseError(f"generator {g.name!r} already defined", lineno, 1)
-        merged.append(g)
-        names.add(g.name)
-    return tuple(merged)
+    return Presentation(name, all_gens, tuple(base_rels) + tuple(relations))

@@ -9,9 +9,10 @@ divisibility is given by subtree occurrences and drives the Buchberger
 engine in :mod:`operadgb.groebner`.
 
 Trees are interned: structurally equal trees are the same object, so
-equality and hashing are by identity.  All values here are immutable, but the
-interning table and the order-key caches fill lazily and are not
-synchronized, so they are not safe to build from several threads.
+equality and hashing are by identity.  A tree's text is built the first
+time it is printed and kept on the tree.  All values here are immutable,
+but the interning table, the texts and the order-key caches fill lazily and
+are not synchronized, so they are not safe to build from several threads.
 """
 
 from __future__ import annotations
@@ -56,9 +57,14 @@ class Tree:
         label: leaf label (0 for internal nodes).
         leaves: sorted tuple of all leaf labels.
         size: number of internal vertices.
+
+    The text form ``x(y(1 3) 2)`` is built by the first ``str`` and kept in
+    a slot, so each printed tree is formatted once, from its children's
+    kept texts; the slot costs no memory, since a sixth pointer still fits
+    the allocator's size class of a five-slot tree.
     """
 
-    __slots__ = ("gen", "children", "label", "leaves", "size")
+    __slots__ = ("gen", "children", "label", "leaves", "size", "_text")
 
     _interned: dict = {}
 
@@ -67,6 +73,7 @@ class Tree:
     label: int
     leaves: tuple[int, ...]
     size: int
+    _text: str | None
 
     @classmethod
     def _intern(cls, gen, children, label, leaves, size) -> "Tree":
@@ -76,6 +83,7 @@ class Tree:
         self.label = label
         self.leaves = leaves
         self.size = size
+        self._text = None
         cls._interned[gen, children, label] = self
         return self
 
@@ -92,10 +100,14 @@ class Tree:
         return self.leaves[0]
 
     def __repr__(self) -> str:
-        return f"Tree({format_tree(self)})"
+        return f"Tree({self})"
 
     def __str__(self) -> str:
-        return format_tree(self)
+        text = self._text
+        if text is None:
+            text = self._text = str(self.label) if self.gen is None \
+                else f"{self.gen}({' '.join(map(str, self.children))})"
+        return text
 
     def __reduce__(self):
         if self.is_leaf:
@@ -155,16 +167,6 @@ def arity(t: Tree) -> int:
 def is_complete(t: Tree) -> bool:
     """True when the leaf labels are exactly 1..arity."""
     return t.leaves == tuple(range(1, t.arity + 1))
-
-
-# ---------------------------------------------------------------------------
-# text form: `x(y(1 3) 2)`, leaves as integers
-# ---------------------------------------------------------------------------
-
-def format_tree(t: Tree) -> str:
-    if t.is_leaf:
-        return str(t.label)
-    return f"{t.gen}({' '.join(format_tree(c) for c in t.children)})"
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,16 @@ in which every identity of differential Poisson algebras evaluates to zero.
 ``swept_envelope_checks`` is the envelope check by sampling: the Jacobi
 identity on every ordered generator triple and derivation compatibility on
 every ordered pair of normal monomials up to degree 6.
+``token_list_parse_monomial`` and ``token_list_parse_element`` are the
+parser of ``syntax`` as it was before it memoized monomial texts: each
+string is first cut into a list of ``(kind, value, column)`` tokens, and
+every monomial is parsed from its tokens.  The memoized parser must give
+the same trees, coefficients and error messages.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -32,16 +38,27 @@ from operadgb.commutative import (
     mono_mul,
     reduce_poly,
 )
-from operadgb.elements import OperadElement, axpy, reduce_row, shuffle_compose
+from operadgb.elements import (
+    OperadElement,
+    add_term,
+    axpy,
+    reduce_row,
+    shuffle_compose,
+)
 from operadgb.presentation import Presentation
+from operadgb.syntax import ParseError
 from operadgb.trees import (
     ShufflePartition,
+    Tree,
+    TreeError,
     TreeOrder,
     all_trees,
     extensions,
+    is_complete,
     iter_positions,
     leaf,
     min_increasing_blocks,
+    node,
 )
 
 
@@ -314,3 +331,139 @@ def swept_envelope_checks(env, max_degree: int = 6) -> tuple[str, str]:
                        if reduce_poly(d(br(f, g)) - br(d(f), g) - br(f, d(g)),
                                       rels)), "")
     return jacobi, derivation
+
+
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+                    r"|(?P<punct>[()*/+-]))")
+
+
+class _Tokens:
+    def __init__(self, text: str, line: int):
+        self.text = text
+        self.line = line
+        self.pos = 0
+        self.toks: list[tuple[str, str, int]] = []
+        pos = 0
+        for m in _TOKEN.finditer(text):
+            if m.start() != pos:
+                break  # unmatched text before this token
+            kind = m.lastgroup
+            self.toks.append((kind, m.group(kind), m.start(kind) + 1))
+            pos = m.end()
+        stripped = text[pos:].lstrip()
+        if stripped:
+            raise ParseError(f"unexpected character {stripped[0]!r}",
+                             line, pos + 1)
+
+    def peek(self) -> tuple[str, str, int] | None:
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", self.line,
+                             len(self.text) + 1)
+        self.pos += 1
+        return tok
+
+    def expect(self, value: str) -> None:
+        kind, val, col = self.next()
+        if val != value:
+            raise ParseError(f"expected {value!r}, found {val!r}", self.line, col)
+
+    def error(self, message: str) -> ParseError:
+        tok = self.peek()
+        col = tok[2] if tok else len(self.text) + 1
+        return ParseError(message, self.line, col)
+
+
+def _token_list_tree(tokens: _Tokens, gens: dict[str, int]) -> Tree:
+    kind, val, col = tokens.next()
+    if kind == "int":
+        return leaf(int(val))
+    if kind != "name":
+        raise ParseError(f"expected monomial, found {val!r}", tokens.line, col)
+    if val not in gens:
+        raise ParseError(f"unknown generator {val!r}", tokens.line, col)
+    tokens.expect("(")
+    children = []
+    while True:
+        tok = tokens.peek()
+        if tok is None:
+            raise tokens.error("unclosed '('")
+        if tok[1] == ")":
+            tokens.next()
+            break
+        children.append(_token_list_tree(tokens, gens))
+    if len(children) != gens[val]:
+        raise ParseError(
+            f"generator {val!r} has arity {gens[val]}, got {len(children)} children",
+            tokens.line, col)
+    try:
+        return node(val, children)
+    except TreeError as exc:
+        raise ParseError(str(exc), tokens.line, col) from None
+
+
+def token_list_parse_monomial(text: str, gens, line: int = 1) -> Tree:
+    tokens = _Tokens(text, line)
+    t = _token_list_tree(tokens, {g.name: g.arity for g in gens})
+    if tokens.peek() is not None:
+        raise tokens.error("trailing input after monomial")
+    if not is_complete(t):
+        raise ParseError(f"leaf labels must be exactly 1..{t.arity}", line, 1)
+    return t
+
+
+def token_list_parse_element(text: str, gens, line: int = 1) -> OperadElement:
+    tokens = _Tokens(text, line)
+    gmap = {g.name: g.arity for g in gens}
+    acc: dict[Tree, Fraction] = {}
+    arity: int | None = None
+    sign = Fraction(1)
+    first = True
+    while tokens.peek() is not None:
+        tok = tokens.peek()
+        if tok[1] in "+-":
+            tokens.next()
+            sign = Fraction(1) if tok[1] == "+" else Fraction(-1)
+        elif not first:
+            raise tokens.error("expected '+' or '-' between terms")
+        coeff = sign
+        tok = tokens.peek()
+        if tok is not None and tok[0] == "int":
+            nxt = tokens.toks[tokens.pos + 1] if tokens.pos + 1 < len(tokens.toks) else None
+            # An integer here is a coefficient, not a bare leaf monomial,
+            # whenever something follows it.
+            if nxt is not None and nxt[1] != "+" and nxt[1] != "-":
+                tokens.next()
+                num = int(tok[1])
+                den = 1
+                tok2 = tokens.peek()
+                if tok2 is not None and tok2[1] == "/":
+                    tokens.next()
+                    kind3, val3, col3 = tokens.next()
+                    if kind3 != "int":
+                        raise ParseError("expected denominator", tokens.line, col3)
+                    den = int(val3)
+                    if den == 0:
+                        raise ParseError("zero denominator", tokens.line, col3)
+                coeff = coeff * Fraction(num, den)
+                tok3 = tokens.peek()
+                if tok3 is not None and tok3[1] == "*":
+                    tokens.next()
+        t = _token_list_tree(tokens, gmap)
+        if not is_complete(t):
+            raise ParseError(f"leaf labels must be exactly 1..{t.arity}",
+                             tokens.line, 1)
+        if arity is None:
+            arity = t.arity
+        elif t.arity != arity:
+            raise tokens.error(
+                f"mixed arities in element: {arity} and {t.arity}")
+        add_term(acc, t, coeff)
+        sign = Fraction(1)
+        first = False
+    if arity is None:
+        raise ParseError("empty element", line, 1)
+    return OperadElement(acc, arity)

@@ -300,7 +300,37 @@ def test_gb_rejects_a_unary_generator(tmp_path, capsys):
     path.write_text("operad unary\ngenerators x/2 u/1\nrelations:\n"
                     "x(x(1 2) 3) - x(1 x(2 3))\n")
     assert run(["gb", "--input", str(path), "--max-arity", "3"], capsys) == (
-        1, "", "error: generator u: arity must be >= 2\n")
+        1, "", "error: line 2, column 16: generator u: arity must be >= 2\n")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("1x/2", "line 2, column 12: bad generator name '1x'"),
+    ("x/2 x/2", "line 2, column 16: generator 'x' already defined"),
+], ids=["name", "repeat"])
+def test_gb_reports_a_bad_generator_at_its_position(spec, message, tmp_path,
+                                                    capsys):
+    """A bad or repeated generator is reported at its own line and column,
+    not without a position or at the first relation's line."""
+    path = tmp_path / "p.txt"
+    path.write_text(f"operad p\ngenerators {spec}\nrelations:\n"
+                    "x(x(1 2) 3) - x(1 x(2 3))\n")
+    assert run(["gb", "--input", str(path), "--max-arity", "3"], capsys) == (
+        1, "", f"error: {message}\n")
+
+
+def test_dims_frames_a_repeated_header_generator(tmp_path, capsys):
+    """A generator repeated in a basis header, under a checksum that
+    matches it, is a bad header field, not an error about an order."""
+    path = tmp_path / "gd3.basis"
+    assert run(["gb", "--preset", "gd", "--max-arity", "3", "-o", str(path)],
+               capsys)[0] == 0
+    lines = path.read_text().splitlines()
+    lines[3] = "generators: x/2 y/2 z/2 x/2"
+    lines[6] = f"checksum: {_checksum(lines[:6], lines[7:])}"
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["dims", "--basis", str(path)], capsys) == (
+        1, "", "error: bad header field 'generators': line 4, column 25: "
+        "generator 'x' already defined\n")
 
 
 @pytest.mark.parametrize("argv, message", [

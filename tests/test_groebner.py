@@ -31,7 +31,13 @@ from operadgb.trees import (
     order_for,
 )
 
-from oracles import covered, quotient_dimension, scanned_overlaps
+from oracles import (
+    covered,
+    quotient_dimension,
+    scanned_overlaps,
+    token_list_parse_element,
+    token_list_parse_monomial,
+)
 
 BUILTINS = builtin_presentations()
 
@@ -208,6 +214,42 @@ def test_save_load_roundtrip(tmp_path, gd4):
     assert {(r.lead, r.tail) for r in loaded.rules} == \
         {(r.lead, r.tail) for r in gd4.rules}
     assert count_normal_monomials(loaded, 4) == 140
+
+
+FIXTURES = ("gd5", "lie6", "novikov6", "wsgd5")
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_load_save_is_byte_identical(name, tmp_path, request):
+    """A loaded basis saves to the bytes it was loaded from."""
+    basis = request.getfixturevalue(name)
+    path, again = tmp_path / "saved.basis", tmp_path / "again.basis"
+    save_basis(basis, str(path))
+    save_basis(load_basis(str(path)), str(again))
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_load_matches_the_token_list_parser(name, tmp_path, request):
+    """Every loaded rule has the lead of the saved one, the very same tree,
+    and a tail with the same trees and coefficients, as the token-list
+    parser reads them from the file and as the completion made them."""
+    basis = request.getfixturevalue(name)
+    path = tmp_path / "saved.basis"
+    save_basis(basis, str(path))
+    loaded = load_basis(str(path))
+    made = {r.lead: r for r in basis.rules}
+    lines = path.read_text().splitlines()[7:]
+    assert len(lines) == len(loaded.rules) == len(basis.rules)
+    for line, rule in zip(lines, loaded.rules):
+        lead_text, tail_text = line.split(" ", 1)[1].split(" => ")
+        assert rule.lead is token_list_parse_monomial(lead_text, basis.generators)
+        if tail_text != "0":
+            tail = token_list_parse_element(tail_text, basis.generators)
+            # trees are equal only when identical, so equal dicts have
+            # the very same tail trees
+            assert rule.tail.terms == tail.terms
+        assert rule.tail.terms == made[rule.lead].tail.terms
 
 
 def test_load_rejects_tampered_file(tmp_path, gd4):

@@ -4,6 +4,7 @@ operads."""
 
 import pytest
 
+from operadgb.elements import OperadElement
 from operadgb.presentation import (
     JACOBI,
     LEFT_SYMMETRY,
@@ -21,8 +22,14 @@ from operadgb.syntax import (
     parse_element,
     parse_monomial,
 )
+from operadgb.trees import GeneratorSymbol
 
-from oracles import consequence_pivots, span_rank
+from oracles import (
+    consequence_pivots,
+    span_rank,
+    token_list_parse_element,
+    token_list_parse_monomial,
+)
 from published_relations import (
     JACOBI_RELATION_LINE,
     MIXED_RELATION_LINES,
@@ -77,6 +84,68 @@ def test_parse_error_messages(parse, text, message):
     with pytest.raises(ParseError) as err:
         parse(text, GD.generators)
     assert str(err.value) == message
+
+
+# texts that must parse exactly as the token-list parser parses them: the
+# malformed cases above and in the tests below, malformed rule lines, and
+# valid ones in every coefficient style
+ORACLE_TEXTS = [
+    "x(1 #2)", "x(1 2)#", "x(1 2) - #y(1 2)", "x(1 2)   $", "x(1 2) 3",
+    "x(1 y(2 3)", "x(1 2) - 3/ x(1 2)", "3/y x(1 2)", "x(2 1)", "w(1 2)",
+    "x(1 2 3)", "", "   ", "+", "-", "x(1 2) -", "x(1 2) x(1 2)",
+    "x(1 2) * y(1 2)", "x(1 2) / y(1 2)", "3/0 x(1 2)", "3/0*x(1 2)", "3/",
+    "3/ ", "- 3/+x(1 2)", "2 3 x(1 2)", "2 * * x(1 2)", "*x(1 2)",
+    "x(1 2) - y(1 2 3)", "x(1 2) - x(x(1 2) 3)", "x(1 1)", "x(0 1)",
+    "x(1 2", "x 1 2", "x(1 2))", "x()", "x(", "x", "(1 2)", "1", "1 + 1",
+    "1 x(1 2)", "1 1", "11 + x(1 2)", "x(1 2) + 1", "x(1 3)", "x(x(1 3) 2) + x(1 2)", "é",
+    "x(1\t2) -\t2*y(1 2)", "- 1*x(1 2) + 1*x(1 2)", "1/2*x(1 2) - 3/4 y(1 2)",
+    "12 x(1 2) - 7/12*y(1 2)", "4/6 x(1 2)", "x(1 2)- -y(1 2)",
+    "z(z(1 2) 3) - z(1 z(2 3)) - z(z(1 3) 2)", "x(1 2) + x(1 2)",
+    "1*x(y(1 3) 2) - 2*y(x(1 3) 2) + 1/3 * z(1 z(2 3))",
+    "\u0663 x(1 2)", "x(1 2)\u00a0- y(1 2)",
+]
+
+
+def outcome(parse, text, gens, line=1):
+    """The value of ``parse``, with its trees, or its error's type and text."""
+    try:
+        value = parse(text, gens, line=line)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(value, OperadElement):
+        return value.arity, [(id(t), c) for t, c in value.terms.items()]
+    return id(value)
+
+
+@pytest.mark.parametrize("parse, oracle", [
+    (parse_element, token_list_parse_element),
+    (parse_monomial, token_list_parse_monomial),
+], ids=["element", "monomial"])
+def test_parser_matches_the_token_list_parser(parse, oracle):
+    """Same trees, coefficients and error texts as the token-list parser,
+    and the same again once the memo holds every monomial parsed before."""
+    for _warm in range(2):
+        for text in ORACLE_TEXTS + list(ALL_PAPER_LINES):
+            assert outcome(parse, text, GD.generators, 7) \
+                == outcome(oracle, text, GD.generators, 7), text
+
+
+def test_memoized_monomial_is_parsed_again_under_other_generators():
+    """A text parsed under one generator list is not taken from the memo
+    under a list without that generator, or with another arity for it."""
+    x, w = GeneratorSymbol("x", 2), GeneratorSymbol("w", 2)
+    assert str(parse_monomial("w(1 2)", (x, w))) == "w(1 2)"
+    assert len(parse_element("2*w(1 2) - x(1 2)", (x, w))) == 2
+    with pytest.raises(ParseError) as err:
+        parse_monomial("w(1 2)", (x,))
+    assert str(err.value) == "line 1, column 1: unknown generator 'w'"
+    with pytest.raises(ParseError) as err:
+        parse_element("2*w(1 2) - x(1 2)", (x,))
+    assert str(err.value) == "line 1, column 3: unknown generator 'w'"
+    with pytest.raises(ParseError) as err:
+        parse_element("2*w(1 2)", (x, GeneratorSymbol("w", 3)))
+    assert str(err.value) == \
+        "line 1, column 3: generator 'w' has arity 3, got 2 children"
 
 
 def test_parse_error_keeps_line_and_allows_blanks():
@@ -197,6 +266,26 @@ def test_presentation_errors():
         parse_presentation("operad bad\ngenerators x/2 y\n")
     assert str(err.value) == \
         "line 2, column 1: generator spec 'y' must look like name/arity"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("operad p\ngenerators x/2 u/1\n",
+     "line 2, column 16: generator u: arity must be >= 2"),
+    ("operad p\ngenerators 1x/2\n", "line 2, column 12: bad generator name '1x'"),
+    ("operad p\n  generators  x/2   x/2  # twice\nrelations:\nx(1 2)\n",
+     "line 2, column 21: generator 'x' already defined"),
+    ("operad p\ngenerators x/2\ngenerators y/2 x/2\n",
+     "line 3, column 16: generator 'x' already defined"),
+    ("operad p\nextends gd\ngenerators w/2 z/2\n",
+     "line 3, column 16: generator 'z' already defined"),
+    # a clash with a base named later is reported at the generator too
+    ("operad p\ngenerators w/2 y/2\nextends gd\nrelations:\nw(1 2)\n",
+     "line 2, column 16: generator 'y' already defined"),
+], ids=["arity", "name", "repeat", "two-lines", "base", "base-after"])
+def test_generator_errors_have_their_position(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert str(err.value) == message
 
 
 # -- symmetric-side cross-check ------------------------------------------------
