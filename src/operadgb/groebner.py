@@ -10,12 +10,13 @@ two distinct equal-arity leading monomials never divide one another (an
 equal-arity divisor is the whole tree), so all interaction inside a stratum
 is plain linear algebra.
 
-The S-polynomials come from superposition: a common multiple of two leads
-has one occurrence at the root, and the other lead's top vertex is one of
-that occurrence's vertices, so laying the second lead over each vertex of
-the first with the same generator gives every shape a common multiple can
-have; its shuffle labellings in which both leads occur are the common
-multiples.  :func:`overlaps` spells out why this is exhaustive.
+The S-polynomials come from root occurrences: a common multiple of two
+leads has one occurrence at the root, and the other lead's top vertex is
+one of that occurrence's vertices.  Laying the second lead over each vertex
+of the first with the same generator fixes the shape of each slot of the
+root occurrence, so the common multiples are the monomials with the first
+lead at the root and shuffle-labelled slots of those shapes in which the
+second lead occurs.  :func:`overlaps` spells out why this is exhaustive.
 
 Reduction is deterministic: a monomial's one rewrite step uses the divisor
 at its first pre-order position, rules tried in a fixed order (arity, lead
@@ -35,6 +36,7 @@ import hashlib
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .elements import (
@@ -58,9 +60,10 @@ from .trees import (
     iter_positions,
     occurrence_at,
     order_for,
+    root_multiples,
     shape_labellings,
+    slot_shapes,
     subtree_at,
-    superpose,
 )
 
 
@@ -175,18 +178,22 @@ class _Reducer:
 
 
 class GroebnerBasis:
-    """Completed, interreduced rewrite system up to ``max_arity``."""
+    """Completed, interreduced rewrite system up to ``max_arity``, under
+    the order it was completed in, whose keys it keeps."""
 
     def __init__(self, presentation_name: str,
-                 generators: tuple[GeneratorSymbol, ...], order_id: str,
+                 generators: tuple[GeneratorSymbol, ...], order: TreeOrder,
                  max_arity: int, rules: Sequence[RewriteRule]):
         self.presentation_name = presentation_name
         self.generators = tuple(generators)
-        self.order_id = order_id
+        self.order = order
         self.max_arity = max_arity
         self.rules = tuple(rules)
-        self.order = order_for(order_id, [g.name for g in self.generators])
         self._reducer: _Reducer | None = None
+
+    @property
+    def order_id(self) -> str:
+        return self.order.order_id
 
     @property
     def reducer(self) -> _Reducer:
@@ -241,52 +248,45 @@ def overlaps(reducer: _Reducer, K: int):
     of ``reducer``, as ``(m, r1, occ1, r2, occ2)``: the two occurrences
     share a vertex and jointly cover ``m``.
 
-    Each common multiple is built by superposing the two leads.  Since the
+    Each common multiple is built from its root occurrence.  Since the
     occurrences cover ``m``, one of them contains the root; call its rule
-    ``r1``.  A lead of arity K would be all of ``m``, so ``r1`` has arity
-    below K (for an interreduced rule set the other lead could only divide
-    it).  The occurrence of ``r2`` shares a vertex with the root
-    occurrence, and its top vertex ``p`` lies on the path from the root to
-    that shared vertex.  The root occurrence's vertex set is closed upward,
-    so ``p`` is an internal vertex of ``r1.lead``, carrying the generator
-    of ``r2.lead``'s root.  Outside the subtree at ``p`` only
-    ``r1`` covers ``m``; inside it the two leads laid over each other
-    (:func:`~operadgb.trees.superpose`) cover it, a vertex of either one
-    being a vertex of ``m``.  So the shape of ``m`` is that superposition,
-    and ``m`` is one of its shuffle labellings on 1..K in which both leads
-    occur, at the root and at ``p``.  Every such labelling is a common
-    multiple: the occurrences share ``p`` and cover the shape.
+    ``r1``, the one of smaller rid when both do.  A lead of arity K would
+    be all of ``m``, so ``r1`` has arity below K (for an interreduced rule
+    set the other lead could only divide it).  The occurrence of ``r2``
+    shares a vertex with the root occurrence, and its top vertex ``p``
+    lies on the path from the root to that shared vertex.  The root
+    occurrence's vertex set is closed upward, so ``p`` is an internal
+    vertex of ``r1.lead``, carrying the generator of ``r2.lead``'s root.
+    Below a leaf of ``r1.lead`` only ``r2`` covers ``m``, so there the
+    vertices of ``m`` are those of ``r2.lead``: the slot of the root
+    occurrence at that leaf has the shape of the part of ``r2.lead`` that
+    hangs below it, or is a leaf where nothing does
+    (:func:`~operadgb.trees.slot_shapes`).  So ``m`` is one of the
+    :func:`~operadgb.trees.root_multiples` of ``r1.lead`` with each slot
+    a shuffle labelling of its shape, each built once, and one in which
+    ``r2`` occurs at ``p``.  Every such monomial is a common multiple: the
+    occurrences share ``p`` and cover ``m``.  Each pair of occurrences is
+    found once, from ``(r1, p, r2)``.
     """
     by_root: dict[str, list[RewriteRule]] = {}
     for r in reducer.rules:
         by_root.setdefault(r.lead.gen, []).append(r)
-    labellings: dict[Tree, list[Tree]] = {}  # shapes recur across pairs
-    seen: set = set()
+    labellings = cache(shape_labellings)  # slot shapes recur across pairs
     for r1 in reducer.rules:
         if r1.arity >= K:
             continue
         for p in iter_positions(r1.lead):
             for r2 in by_root.get(subtree_at(r1.lead, p).gen, ()):
-                if r2 is r1 and not p:
+                if not p and r2.rid <= r1.rid:
                     continue
-                shape = superpose(r1.lead, p, r2.lead)
-                if shape is None or shape.arity != K:
+                shapes = slot_shapes(r1.lead, p, r2.lead)
+                if shapes is None or sum(s.arity for s in shapes) != K:
                     continue
-                if shape not in labellings:
-                    labellings[shape] = shape_labellings(shape)
-                for m in labellings[shape]:
-                    occ1 = occurrence_at(r1.lead, m, ())
-                    if occ1 is None:
-                        continue
+                for m, occ1 in root_multiples(r1.lead,
+                                              [labellings(s) for s in shapes]):
                     occ2 = occurrence_at(r2.lead, m, p)
-                    if occ2 is None:
-                        continue
-                    pair_key = (m,) + tuple(sorted(((r1.rid, ()),
-                                                    (r2.rid, p))))
-                    if pair_key in seen:
-                        continue
-                    seen.add(pair_key)
-                    yield m, r1, occ1, r2, occ2
+                    if occ2 is not None:
+                        yield m, r1, occ1, r2, occ2
 
 
 def _spoly(m: Tree, r1: RewriteRule, o1: Occurrence, r2: RewriteRule,
@@ -324,7 +324,8 @@ def buchberger(p: Presentation, max_arity: int, order_id: str = "pathlex",
                progress: Callable[[str], None] | None = None) -> GroebnerBasis:
     """Complete the presentation's relations up to ``max_arity``."""
     if not p.relations:
-        return GroebnerBasis(p.name, p.generators, order_id, max_arity, ())
+        return GroebnerBasis(p.name, p.generators, p.order(order_id),
+                             max_arity, ())
     if p.max_relation_arity > max_arity:
         raise BudgetExceededError(
             f"presentation has relations of arity {p.max_relation_arity} "
@@ -343,7 +344,7 @@ def buchberger(p: Presentation, max_arity: int, order_id: str = "pathlex",
             next_rid += 1
         if progress is not None:
             progress(f"arity {K}: {len(pivots)} new rules, {len(rules)} total")
-    return GroebnerBasis(p.name, p.generators, order_id, max_arity, rules)
+    return GroebnerBasis(p.name, p.generators, order, max_arity, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +356,13 @@ _MAGIC_V1 = "operadgb-basis v1"
 
 
 def _checksum(header: list[str], rules: list[str]) -> str:
-    """SHA-256 over the header lines before the checksum and the rules."""
-    return hashlib.sha256("\n".join(header + rules).encode()).hexdigest()
+    """SHA-256 over the header lines before the checksum and the rules,
+    joined by newlines, hashed a rule at a time.  The header is never
+    empty: it starts with the magic line."""
+    digest = hashlib.sha256("\n".join(header).encode())
+    for line in rules:
+        digest.update(f"\n{line}".encode())
+    return digest.hexdigest()
 
 
 def _rules_section(b: GroebnerBasis) -> list[str]:
@@ -369,7 +375,6 @@ def _rules_section(b: GroebnerBasis) -> list[str]:
 
 def save_basis(b: GroebnerBasis, path: str) -> None:
     rules = _rules_section(b)
-    body = "\n".join(rules)
     header = [
         _MAGIC,
         f"presentation: {b.presentation_name}",
@@ -380,7 +385,7 @@ def save_basis(b: GroebnerBasis, path: str) -> None:
     ]
     header.append(f"checksum: {_checksum(header, rules)}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(header) + "\n" + body + ("\n" if body else ""))
+        fh.writelines(f"{line}\n" for line in chain(header, rules))
 
 
 def load_basis(path: str, validate: bool = True) -> GroebnerBasis:
@@ -443,7 +448,8 @@ def load_basis(path: str, validate: bool = True) -> GroebnerBasis:
             rules.append(RewriteRule(lead, tail, i))
         except (ValueError, TreeError) as exc:
             raise BasisFormatError(f"bad rule line {i + 1}: {exc}") from None
-    basis = GroebnerBasis(pres_name, gens, order_id, max_arity, rules)
+    order = order_for(order_id, [g.name for g in gens])
+    basis = GroebnerBasis(pres_name, gens, order, max_arity, rules)
     if validate:
         validate_interreduced(basis)
     return basis

@@ -142,11 +142,11 @@ def parse_generators(text: str, line: int, col: int = 1,
     names = set(defined)
     for chunk in re.finditer(r"\S+", text):
         name, _, ar = chunk.group().partition("/")
+        here = col + chunk.start()
         if not ar.isdecimal():
             raise ParseError(
                 f"generator spec {chunk.group()!r} must look like name/arity",
-                line, 1)
-        here = col + chunk.start()
+                line, here)
         try:
             gens.append(GeneratorSymbol(name, int(ar)))
         except TreeError as exc:

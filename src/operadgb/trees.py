@@ -18,7 +18,7 @@ are not synchronized, so they are not safe to build from several threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, count, product
+from itertools import chain, combinations, product
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 
@@ -220,18 +220,6 @@ class TreeOrder:
                             f"{self.order_id}") from None
         for i, c in enumerate(t.children):
             self._collect(c, prefix + ((r, i),), out)
-
-    def compare(self, t1: Tree, t2: Tree) -> int:
-        """-1, 0, or 1; requires equal arities."""
-        if t1.arity != t2.arity:
-            raise TreeError(
-                f"cannot compare monomials of arities {t1.arity} and {t2.arity}")
-        k1, k2 = self.key(t1), self.key(t2)
-        if k1 < k2:
-            return -1
-        if k1 > k2:
-            return 1
-        return 0
 
 
 ORDER_IDS = ("pathlex", "revpathlex")
@@ -445,18 +433,22 @@ def shuffle_graftings(n: int, k: int, level: Callable[[int], Sequence[Tree]],
     """Every ``k``-tuple of trees on the labels 1..n in shuffle position:
     for each composition of n into k parts, the :func:`_block_graftings` of
     ``level(size)`` over its parts.  These are the children of an arity-k
-    vertex, or the slots of an arity-k pattern, over arity n."""
+    vertex over arity n."""
     return chain.from_iterable(
-        _block_graftings(comp, [level(size) for size in comp])
+        _block_graftings([level(size) for size in comp])
         for comp in compositions(n, k))
 
 
-def _block_graftings(sizes: Sequence[int], levels: Sequence[Sequence[Tree]],
-                    ) -> Iterator[tuple[Tree, ...]]:
-    """Every tuple of trees on the labels 1..sum(sizes) in shuffle position
-    whose i-th tree is one of ``levels[i]``, trees on 1..sizes[i]: for each
-    partition into blocks of these sizes with increasing minima, the product
-    of the levels relabelled onto the blocks."""
+def _block_graftings(levels: Sequence[Sequence[Tree]]
+                     ) -> Iterator[tuple[Tree, ...]]:
+    """Every tuple of trees in shuffle position whose i-th tree is one of
+    ``levels[i]`` (trees on the labels 1..k_i) relabelled: for each
+    partition of 1..k_1+k_2+... into blocks of sizes k_1, k_2, ... with
+    increasing minima, the product of the levels relabelled onto the
+    blocks.  An empty level gives no tuples."""
+    if not all(levels):
+        return iter(())
+    sizes = [level[0].arity for level in levels]
     labels = tuple(range(1, sum(sizes) + 1))
     return chain.from_iterable(
         product(*([relabel_ordered(t, b) for t in level]
@@ -484,62 +476,31 @@ def all_trees(gens: Sequence[GeneratorSymbol], n: int) -> tuple[Tree, ...]:
     return result
 
 
+def root_multiples(t: Tree, levels: Sequence[Sequence[Tree]]
+                   ) -> Iterator[tuple[Tree, Occurrence]]:
+    """Every monomial with ``t`` at its root whose i-th slot, the subtree
+    on the i-th smallest leaf of ``t``, is one of ``levels[i]`` relabelled,
+    together with that root occurrence.
+
+    The slots are laid on blocks whose minima increase in the leaf order
+    of ``t``, which is exactly the condition for ``t`` to occur at the
+    root (see :func:`occurrence_at`), so each monomial comes once and no
+    match is needed."""
+    for slots in _block_graftings(levels):
+        yield substitute(t, dict(zip(t.leaves, slots))), Occurrence((), slots)
+
+
 def extensions(t: Tree, target_arity: int,
                gens: Sequence[GeneratorSymbol]) -> list[tuple[Tree, Occurrence]]:
     """All monomials of the target arity divisible by ``t`` at the root,
     together with that root occurrence."""
-    out: list[tuple[Tree, Occurrence]] = []
-    for slots in shuffle_graftings(target_arity, t.arity,
-                                   lambda m: all_trees(gens, m)):
-        m = substitute(t, dict(zip(t.leaves, slots)))
-        occ = occurrence_at(t, m, ())
-        assert occ is not None
-        out.append((m, occ))
-    return out
+    return [ext for comp in compositions(target_arity, t.arity)
+            for ext in root_multiples(t, [all_trees(gens, k) for k in comp])]
 
 
 # ---------------------------------------------------------------------------
 # shapes: trees up to their leaf labels
 # ---------------------------------------------------------------------------
-
-def superpose(host: Tree, path: tuple[int, ...], pattern: Tree) -> Tree | None:
-    """The shape of ``host`` with ``pattern`` laid over its vertex at
-    ``path``, or ``None`` when the two clash.
-
-    Leaf labels are ignored.  Where one of the two has a leaf and the other
-    a vertex, the vertex is kept; where both have vertices, their
-    generators and child counts must agree.  The result's leaves are
-    numbered 1, 2, ... left to right, one representative of the shape;
-    :func:`shape_labellings` gives all of them.
-    """
-    if not _fits(subtree_at(host, path), pattern):
-        return None
-    labels = count(1)
-
-    def lay(a: Tree, b: Tree | None) -> Tree:
-        # b is the part of the pattern over a, None off the pattern
-        if b is not None and a.is_leaf:
-            a, b = b, None
-        if a.is_leaf:
-            return leaf(next(labels))
-        over = b.children if b is not None and not b.is_leaf \
-            else (None,) * len(a.children)
-        return node(a.gen, [lay(x, y) for x, y in zip(a.children, over)])
-
-    def along(a: Tree, rest: tuple[int, ...]) -> Tree:
-        if not rest:
-            return lay(a, pattern)
-        return node(a.gen, [along(c, rest[1:]) if i == rest[0] else lay(c, None)
-                            for i, c in enumerate(a.children)])
-
-    return along(host, path)
-
-
-def _fits(a: Tree, b: Tree) -> bool:
-    return a.is_leaf or b.is_leaf or (
-        a.gen == b.gen and len(a.children) == len(b.children)
-        and all(map(_fits, a.children, b.children)))
-
 
 def shape_labellings(shape: Tree) -> list[Tree]:
     """Every shuffle tree monomial on the labels 1..arity with the shape
@@ -547,7 +508,27 @@ def shape_labellings(shape: Tree) -> list[Tree]:
     leaves labelled in each way the shuffle condition allows."""
     if shape.is_leaf:
         return [leaf(1)]
-    kids = shape.children
-    return [node(shape.gen, ks)
-            for ks in _block_graftings([c.arity for c in kids],
-                                      [shape_labellings(c) for c in kids])]
+    return [node(shape.gen, ks) for ks in _block_graftings(
+        [shape_labellings(c) for c in shape.children])]
+
+
+def slot_shapes(host: Tree, path: tuple[int, ...],
+                pattern: Tree) -> list[Tree] | None:
+    """``pattern`` laid over the vertex of ``host`` at ``path``: for each
+    leaf of ``host``, in leaf-label order, the part of ``pattern`` that
+    hangs below it, or a single leaf where nothing does.  ``None`` when
+    the two clash, a vertex of both having different generators or child
+    counts.  Only the shapes count, not their leaf labels."""
+    below: dict[int, Tree] = {}
+
+    def lay(a: Tree, b: Tree) -> bool:
+        if a.is_leaf:
+            below[a.label] = b
+            return True
+        return b.is_leaf or (
+            a.gen == b.gen and len(a.children) == len(b.children)
+            and all(map(lay, a.children, b.children)))
+
+    if not lay(subtree_at(host, path), pattern):
+        return None
+    return [below.get(label, leaf(1)) for label in host.leaves]

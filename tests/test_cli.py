@@ -318,19 +318,33 @@ def test_gb_reports_a_bad_generator_at_its_position(spec, message, tmp_path,
         1, "", f"error: {message}\n")
 
 
-def test_dims_frames_a_repeated_header_generator(tmp_path, capsys):
-    """A generator repeated in a basis header, under a checksum that
-    matches it, is a bad header field, not an error about an order."""
+def _dims_under_generators(spec, tmp_path, capsys):
+    """``dims`` on a gd 3 basis whose header lists the generators
+    ``spec``, under a checksum that matches it."""
     path = tmp_path / "gd3.basis"
     assert run(["gb", "--preset", "gd", "--max-arity", "3", "-o", str(path)],
                capsys)[0] == 0
     lines = path.read_text().splitlines()
-    lines[3] = "generators: x/2 y/2 z/2 x/2"
+    lines[3] = f"generators: {spec}"
     lines[6] = f"checksum: {_checksum(lines[:6], lines[7:])}"
     path.write_text("\n".join(lines) + "\n")
-    assert run(["dims", "--basis", str(path)], capsys) == (
+    return run(["dims", "--basis", str(path)], capsys)
+
+
+def test_dims_frames_a_repeated_header_generator(tmp_path, capsys):
+    """A generator repeated in a basis header, under a checksum that
+    matches it, is a bad header field, not an error about an order."""
+    assert _dims_under_generators("x/2 y/2 z/2 x/2", tmp_path, capsys) == (
         1, "", "error: bad header field 'generators': line 4, column 25: "
         "generator 'x' already defined\n")
+
+
+def test_dims_reports_a_header_generator_spec_at_its_column(tmp_path, capsys):
+    """A header generator that is not ``name/arity`` is reported at its own
+    column, like every other generator error, not at column 1."""
+    assert _dims_under_generators("x/2 y z/2", tmp_path, capsys) == (
+        1, "", "error: bad header field 'generators': line 4, column 17: "
+        "generator spec 'y' must look like name/arity\n")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -311,7 +311,7 @@ def test_trace_does_not_depend_on_the_dict_order_of_rule_tails(ctx, gd4):
     them, and it reaches every rewrite step; the printed steps must not
     show it."""
     flipped = GroebnerBasis(
-        gd4.presentation_name, gd4.generators, gd4.order_id, gd4.max_arity,
+        gd4.presentation_name, gd4.generators, gd4.order, gd4.max_arity,
         [RewriteRule(r.lead, OperadElement(
             dict(reversed(r.tail.terms.items())), r.arity), r.rid)
          for r in gd4.rules])

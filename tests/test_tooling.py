@@ -143,17 +143,13 @@ def _read_names(tree):
     return out
 
 
-# read only by tests; ROADMAP item 7 revisits it when ``extensions`` moves
-ONLY_TESTS_READ = {"compare"}
-
-
 def test_every_src_name_has_a_reader():
     """Each top-level name and each public method defined in
     ``src/operadgb`` is read somewhere in the package (its own definition
     aside), is part of the API that ``__init__`` imports, or is used by the
     benchmark scripts, whose tracer names its targets as strings.
     Test-only code belongs in ``tests/``."""
-    readers = set(ONLY_TESTS_READ)
+    readers = set()
     for script in sorted(PERFBENCH.glob("*.py")):
         readers |= _read_names(ast.parse(script.read_text(encoding="utf-8")))
     readers |= {part for _mod, path, _kind in traced_targets()

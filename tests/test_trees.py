@@ -23,8 +23,8 @@ from operadgb.trees import (
     relabel_ordered,
     replace_at,
     shape_labellings,
+    slot_shapes,
     substitute,
-    superpose,
 )
 
 from oracles import covered
@@ -76,12 +76,10 @@ def test_copies_and_pickles_are_the_interned_tree():
 
 
 def test_compare_basics():
-    assert ORDER.compare(leaf(1), leaf(1)) == 0
+    assert ORDER.key(leaf(1)) == ORDER.key(leaf(1))
     # single-vertex trees differing only in the generator label follow x < y < z
-    assert ORDER.compare(t("x", 1, 2), t("y", 1, 2)) == -1
-    assert ORDER.compare(t("y", 1, 2), t("z", 1, 2)) == -1
-    with pytest.raises(TreeError):
-        ORDER.compare(leaf(1), t("x", 1, 2))
+    assert ORDER.key(t("x", 1, 2)) < ORDER.key(t("y", 1, 2)) \
+        < ORDER.key(t("z", 1, 2))
 
 
 def test_total_order_on_arity3():
@@ -90,11 +88,11 @@ def test_total_order_on_arity3():
     keys = [ORDER.key(m) for m in mons]
     assert len(set(keys)) == len(keys)  # total: no ties between distinct monomials
     for a, b in combinations(mons, 2):
-        ca, cb = ORDER.compare(a, b), ORDER.compare(b, a)
-        assert ca == -cb != 0  # antisymmetric
+        ka, kb = ORDER.key(a), ORDER.key(b)
+        assert (ka < kb) != (kb < ka)  # antisymmetric
     ranked = sorted(mons, key=ORDER.key)
     for i in range(len(ranked) - 1):
-        assert ORDER.compare(ranked[i], ranked[i + 1]) == -1  # transitive chain
+        assert ORDER.key(ranked[i]) < ORDER.key(ranked[i + 1])  # transitive chain
 
 
 def test_enumeration_counts():
@@ -242,18 +240,27 @@ def test_shape_labellings_are_the_monomials_of_one_shape():
             assert set(got) == set(ms)
 
 
-def test_superpose_keeps_the_vertices_of_both():
+def test_slot_shapes_hang_the_pattern_below_the_host_leaves():
     jac = t("z", t("z", 1, 2), 3)
-    # the pattern's vertex over the host's leaf, and the host's over the
-    # pattern's: both kept, leaves numbered left to right
-    assert superpose(jac, (0,), jac) == t("z", t("z", t("z", 1, 2), 3), 4)
-    assert superpose(jac, (), t("z", 1, t("x", 2, 3))) == \
-        t("z", t("z", 1, 2), t("x", 3, 4))
-    assert superpose(t("x", t("z", 1, 2), 3), (0,), jac) == \
-        t("x", t("z", t("z", 1, 2), 3), 4)
+    z = ("z", (None, None))
+
+    def shapes(host, path, pattern):
+        found = slot_shapes(host, path, pattern)
+        return None if found is None else [skeleton(s) for s in found]
+
+    # the pattern's vertex over the host's leaf hangs below it; the host's
+    # vertex over the pattern's leaf, and a leaf off the pattern, leave a
+    # leaf
+    assert shapes(jac, (0,), jac) == [z, None, None]
+    assert shapes(jac, (), t("z", 1, t("x", 2, 3))) == \
+        [None, None, ("x", (None, None))]
+    assert shapes(t("x", t("z", 1, 2), 3), (0,), jac) == [z, None, None]
+    # in the host's leaf-label order, not left to right
+    assert shapes(t("z", t("z", 1, 3), 2), (0,), t("z", 1, t("x", 2, 3))) \
+        == [None, None, ("x", (None, None))]
     # generators or child counts that disagree under one vertex clash
-    assert superpose(jac, (), t("z", t("x", 1, 2), 3)) is None
-    assert superpose(jac, (0,), t("x", 1, 2)) is None
+    assert shapes(jac, (), t("z", t("x", 1, 2), 3)) is None
+    assert shapes(jac, (0,), t("x", 1, 2)) is None
 
 
 def test_order_admissibility_under_contexts():
@@ -263,7 +270,7 @@ def test_order_admissibility_under_contexts():
     for _ in range(300):
         n = rng.choice((2, 3))
         a, b = rng.sample(mons[n], 2)
-        if ORDER.compare(a, b) > 0:
+        if ORDER.key(a) > ORDER.key(b):
             a, b = b, a
         host_arity = rng.choice((3, 4, 5))
         if host_arity <= n:
@@ -277,7 +284,7 @@ def test_order_admissibility_under_contexts():
             ca = m
             slots = dict(zip(a.leaves, occ.slots))
             cb = replace_at(m, occ.path, substitute(b, slots))
-            assert ORDER.compare(ca, cb) == -1, (str(a), str(b), str(m))
+            assert ORDER.key(ca) < ORDER.key(cb), (str(a), str(b), str(m))
         # outer contexts: compose above the root
         outer = t("z", 1, 2)
         for right in range(1, 3):
@@ -285,7 +292,7 @@ def test_order_admissibility_under_contexts():
                                     2: leaf(n + 1)})
             cb = substitute(outer, {1: relabel_ordered(b, range(1, n + 1)),
                                     2: leaf(n + 1)})
-            assert ORDER.compare(ca, cb) == -1
+            assert ORDER.key(ca) < ORDER.key(cb)
 
 
 def test_min_increasing_blocks():
