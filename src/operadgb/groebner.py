@@ -26,8 +26,9 @@ tail is kept as an integer pair ``(den, {monomial: int})``, and so is each
 memoized normal form.  A trie over the leads'
 pre-order skeletons yields the candidate rules at a position in that order,
 each confirmed by a full occurrence match, so the index cannot change the
-divisor.  The reducer fills its memos lazily, so it is not safe to share
-between threads.
+divisor.  The divisor of each proper subtree is memoized, so a subtree
+that many monomials share is searched once.  The reducer fills its memos lazily, so
+it is not safe to share between threads.
 """
 
 from __future__ import annotations
@@ -123,6 +124,7 @@ class _Reducer:
         # each tail once as an integer pair, the shape of the memo's values
         self._tails = {r: integer_form(r.tail.terms) for r in self.rules}
         self._memo: dict[Tree, tuple[int, dict[Tree, int]]] = {}
+        self._divisors: dict[Tree, tuple[RewriteRule, Occurrence] | None] = {}
 
     def occurrences(self, m: Tree):
         """Every ``(rule, occurrence)`` of a lead in ``m``, by pre-order
@@ -161,8 +163,24 @@ class _Reducer:
 
     def find_divisor(self, m: Tree) -> tuple[RewriteRule, Occurrence] | None:
         """The first of ``occurrences(m)``: the divisor the strategy uses.
-        Not memoized: the normal-form memo steps each monomial once."""
-        return next(self.occurrences(m), None)
+        An occurrence below the root lies in one child, so without one at
+        the root it is the first child's divisor, moved down to that child.
+        The divisors of proper subtrees are memoized, since many monomials
+        share them; that of ``m`` itself is not, since the normal-form memo
+        steps each monomial once."""
+        found = next(self.occurrences_at(m, ()), None)
+        if found is None:
+            for i, c in enumerate(m.children):
+                if c.gen is None:
+                    continue
+                if c in self._divisors:
+                    below = self._divisors[c]
+                else:
+                    below = self._divisors[c] = self.find_divisor(c)
+                if below is not None:
+                    rule, occ = below
+                    return rule, Occurrence((i,) + occ.path, occ.slots)
+        return found
 
     def _step(self, m: Tree) -> tuple[int, dict[Tree, int]] | None:
         div = self.find_divisor(m)

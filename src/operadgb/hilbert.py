@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groebner import BudgetExceededError, GroebnerBasis
-from .trees import Tree, leaf, node, shuffle_graftings
+from .trees import Tree, leaf, vertices
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,8 @@ class NormalMonomials:
             raise BudgetExceededError("arity must be >= 1")
         _check_completed(self.basis, n)
         result = tuple(
-            cand for g in self.basis.generators if g.arity <= n
-            for kids in shuffle_graftings(n, g.arity, self.level)
-            if not self._root_reducible(cand := node(g.name, kids)))
+            cand for cand in vertices(self.basis.generators, n, self.level)
+            if not self._root_reducible(cand))
         self._levels[n] = result
         return result
 

@@ -47,9 +47,11 @@ class GeneratorSymbol:
 class Tree:
     """Interned shuffle tree monomial; construct via :func:`leaf` / :func:`node`.
 
-    They are the only constructors and return the one tree of each
+    They are the only public constructors and return the one tree of each
     structure, and copies and unpickled trees are rebuilt through them, so
-    trees are equal exactly when they are identical.
+    trees are equal exactly when they are identical.  Relabelling and
+    enumeration intern the vertices they build through the same table,
+    without :func:`node`'s checks, which their construction makes true.
 
     Attributes:
         gen: generator name at the root, or ``None`` for a leaf.
@@ -341,18 +343,44 @@ def substitute(t: Tree, assignment: dict[int, Tree]) -> Tree:
 
 
 def relabel_ordered(t: Tree, labels: Sequence[int]) -> Tree:
-    """Order-isomorphic relabeling: i-th smallest leaf label -> labels[i]."""
-    new = sorted(labels)
+    """Order-isomorphic relabeling: i-th smallest leaf label -> labels[i].
+
+    The labels are checked here, before any vertex is built, so a rejected
+    relabeling leaves nothing behind in the intern table."""
+    new = tuple(sorted(labels))
     if len(new) != t.arity:
         raise TreeError("relabeling size mismatch")
-    mapping = dict(zip(t.leaves, new))
-    return _relabel(t, mapping)
+    if new[0] < 1:
+        raise TreeError(f"leaf label must be >= 1, got {new[0]}")
+    for a, b in zip(new, new[1:]):
+        if a == b:
+            raise TreeError(f"duplicate leaf label {a}")
+    if new == t.leaves:
+        return t
+    return _relabel(t, dict(zip(t.leaves, new)))
 
 
-def _relabel(t: Tree, mapping: dict[int, int]) -> Tree:
-    if t.is_leaf:
+def _relabel(t: Tree, mapping) -> Tree:
+    """``t`` with each leaf label ``l`` replaced by ``mapping[l]``, for an
+    increasing map of valid labels: the shuffle condition and the order of
+    every vertex's leaves carry over, so no vertex is checked again."""
+    if t.gen is None:
         return leaf(mapping[t.label])
-    return node(t.gen, [_relabel(c, mapping) for c in t.children])
+    kids = tuple([_relabel(c, mapping) for c in t.children])
+    new = Tree._interned.get((t.gen, kids, 0))
+    if new is None:
+        new = Tree._intern(t.gen, kids, 0,
+                           tuple([mapping[l] for l in t.leaves]), t.size)
+    return new
+
+
+def _vertex(gen: str, kids: tuple[Tree, ...], leaves: tuple[int, ...]) -> Tree:
+    """The vertex ``gen`` over children known to be in shuffle position,
+    whose leaves are ``leaves``: :func:`node` without its checks."""
+    t = Tree._interned.get((gen, kids, 0))
+    if t is None:
+        t = Tree._intern(gen, kids, 0, leaves, 1 + sum(c.size for c in kids))
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -428,32 +456,56 @@ def _gens_sig(gens: Sequence[GeneratorSymbol]) -> tuple:
     return tuple((g.name, g.arity) for g in gens)
 
 
-def shuffle_graftings(n: int, k: int, level: Callable[[int], Sequence[Tree]],
-                      ) -> Iterator[tuple[Tree, ...]]:
-    """Every ``k``-tuple of trees on the labels 1..n in shuffle position:
-    for each composition of n into k parts, the :func:`_block_graftings` of
-    ``level(size)`` over its parts.  These are the children of an arity-k
-    vertex over arity n."""
-    return chain.from_iterable(
-        _block_graftings([level(size) for size in comp])
-        for comp in compositions(n, k))
-
-
 def _block_graftings(levels: Sequence[Sequence[Tree]]
                      ) -> Iterator[tuple[Tree, ...]]:
     """Every tuple of trees in shuffle position whose i-th tree is one of
     ``levels[i]`` (trees on the labels 1..k_i) relabelled: for each
     partition of 1..k_1+k_2+... into blocks of sizes k_1, k_2, ... with
     increasing minima, the product of the levels relabelled onto the
-    blocks.  An empty level gives no tuples."""
+    blocks.  Each level is relabelled onto each block once, however many
+    partitions share that block.  An empty level gives no tuples."""
     if not all(levels):
         return iter(())
     sizes = [level[0].arity for level in levels]
     labels = tuple(range(1, sum(sizes) + 1))
+    placed: list[dict] = [{} for _ in levels]
+
+    def on(i: int, block: tuple[int, ...]) -> Sequence[Tree]:
+        got = placed[i].get(block)
+        if got is None:
+            if block[-1] == len(block):  # the identity
+                got = levels[i]
+            else:
+                mapping = (0,) + block  # label l goes to mapping[l]
+                got = [_relabel(t, mapping) for t in levels[i]]
+            placed[i][block] = got
+        return got
+
     return chain.from_iterable(
-        product(*([relabel_ordered(t, b) for t in level]
-                  for level, b in zip(levels, blocks)))
+        product(*map(on, range(len(levels)), blocks))
         for blocks in min_increasing_blocks(labels, sizes))
+
+
+def vertices(gens: Sequence[GeneratorSymbol], n: int,
+             level: Callable[[int], Sequence[Tree]]) -> Iterator[Tree]:
+    """Every vertex over the labels 1..n whose children come from
+    ``level``: for each generator of arity k <= n, in order, the generator
+    over every k-tuple of trees in shuffle position, that is, for each
+    composition of n into k parts, the :func:`_block_graftings` of
+    ``level(size)`` over its parts.  Each arity's child tuples are built
+    once and shared by the generators of that arity."""
+    labels = tuple(range(1, n + 1))
+    by_arity: dict[int, list[tuple[Tree, ...]]] = {}
+    for g in gens:
+        if g.arity > n:
+            continue
+        kids = by_arity.get(g.arity)
+        if kids is None:
+            kids = by_arity[g.arity] = [
+                ks for comp in compositions(n, g.arity)
+                for ks in _block_graftings([level(size) for size in comp])]
+        for ks in kids:
+            yield _vertex(g.name, ks, labels)
 
 
 def all_trees(gens: Sequence[GeneratorSymbol], n: int) -> tuple[Tree, ...]:
@@ -468,10 +520,7 @@ def all_trees(gens: Sequence[GeneratorSymbol], n: int) -> tuple[Tree, ...]:
     if n == 1:
         result: tuple[Tree, ...] = (leaf(1),)
     else:
-        result = tuple(
-            node(g.name, kids) for g in gens if g.arity <= n
-            for kids in shuffle_graftings(n, g.arity,
-                                          lambda m: all_trees(gens, m)))
+        result = tuple(vertices(gens, n, lambda m: all_trees(gens, m)))
     _ALL_TREES[key] = result
     return result
 
@@ -508,7 +557,8 @@ def shape_labellings(shape: Tree) -> list[Tree]:
     leaves labelled in each way the shuffle condition allows."""
     if shape.is_leaf:
         return [leaf(1)]
-    return [node(shape.gen, ks) for ks in _block_graftings(
+    labels = tuple(range(1, shape.arity + 1))
+    return [_vertex(shape.gen, ks, labels) for ks in _block_graftings(
         [shape_labellings(c) for c in shape.children])]
 
 

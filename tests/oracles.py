@@ -3,9 +3,12 @@
 These deliberately avoid the Groebner engine: quotient dimensions are
 computed by expanding one-step consequences of the relations and doing
 exact Gaussian elimination over the full monomial basis of each arity.
-Overlaps are found by scanning every extension of a lead for a second one;
-the scan uses the reducer's lead index, which ``test_groebner`` checks
-against trying every rule at every position.
+``labelled_trees`` enumerates shuffle trees without the enumerator of
+``trees``: every planar tree over the generators, its leaves labelled in
+every order, kept where the checked ``node`` accepts the labelling.
+Overlaps are found by scanning each of those monomials that has a lead at
+its root for a second lead; the scan uses the reducer's lead index, which
+``test_groebner`` checks against trying every rule at every position.
 Differential Poisson normal forms are recomputed by a greatest-first
 worklist that does not share the memoized normal-form engine.
 ``fraction_memo_normal_form`` and ``fraction_echelon`` are the two kernels
@@ -27,7 +30,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from itertools import combinations, product
 
 from operadgb.commutative import (
     ONE,
@@ -53,7 +57,6 @@ from operadgb.trees import (
     TreeError,
     TreeOrder,
     all_trees,
-    extensions,
     is_complete,
     iter_positions,
     leaf,
@@ -226,20 +229,77 @@ def covered(pattern, occ) -> set:
     return {occ.path + q for q in iter_positions(pattern)}
 
 
+def planar_trees(gens, n: int) -> list:
+    """Every planar tree of arity ``n`` over the generators, unlabelled:
+    ``None`` for a leaf, ``(name, children)`` for a vertex."""
+    if n == 1:
+        return [None]
+    return [(g.name, kids) for g in gens
+            for sizes in product(range(1, n), repeat=g.arity)
+            if sum(sizes) == n
+            for kids in product(*(planar_trees(gens, k) for k in sizes))]
+
+
+def _planar_arity(shape) -> int:
+    return 1 if shape is None else sum(map(_planar_arity, shape[1]))
+
+
+@cache
+def _labellings(shape, labels: tuple[int, ...]) -> tuple[Tree, ...]:
+    """``shape`` with its leaves labelled by ``labels`` in every order that
+    the checked ``node`` accepts.  Every order is tried a vertex at a time:
+    each child gets every subset of the labels left over by the children
+    before it, so a labelling that ``node`` rejects below a vertex is not
+    tried again above it."""
+    if shape is None:
+        return (leaf(labels[0]),)
+    name, kids = shape
+    out = []
+
+    def place(i: int, left: tuple[int, ...], built: tuple[Tree, ...]):
+        if i == len(kids):
+            try:
+                out.append(node(name, built))
+            except TreeError:
+                pass
+            return
+        for block in combinations(left, _planar_arity(kids[i])):
+            rest = tuple(x for x in left if x not in block)
+            for child in _labellings(kids[i], block):
+                place(i + 1, rest, built + (child,))
+
+    place(0, labels, ())
+    return tuple(out)
+
+
+@cache
+def labelled_trees(gens: tuple, n: int) -> tuple[Tree, ...]:
+    """Every shuffle tree monomial of arity ``n`` over ``gens``, by brute
+    force: each planar tree with its leaves labelled 1..n in every order
+    that the checked ``node`` accepts."""
+    labels = tuple(range(1, n + 1))
+    return tuple(t for shape in planar_trees(gens, n)
+                 for t in _labellings(shape, labels))
+
+
 def scanned_overlaps(reducer, K: int, gens):
     """The overlaps of ``groebner.overlaps`` by brute force, as the same
-    ``(m, r1, occ1, r2, occ2)`` tuples: extend each lead of arity below K
-    at the root to every arity-K monomial (``trees.extensions``) and scan
-    each one, position by position, for a second lead occurrence that
-    shares a vertex with the first and jointly covers the monomial."""
+    ``(m, r1, occ1, r2, occ2)`` tuples: for each arity-K monomial of
+    :func:`labelled_trees` and each lead of arity below K that occurs at
+    its root, scan the monomial, position by position, for a second lead
+    occurrence that shares a vertex with the first and jointly covers the
+    monomial."""
     seen: set = set()
-    for r1 in reducer.rules:
-        if r1.arity >= K:
+    for m in labelled_trees(tuple(gens), K):
+        roots = [(r1, occ1) for r1, occ1 in reducer.occurrences_at(m, ())
+                 if r1.arity < K]
+        if not roots:
             continue
-        for m, occ1 in extensions(r1.lead, K, gens):
-            allv = frozenset(iter_positions(m))
+        allv = frozenset(iter_positions(m))
+        found = list(reducer.occurrences(m))
+        for r1, occ1 in roots:
             v1 = covered(r1.lead, occ1)
-            for r2, occ2 in reducer.occurrences(m):
+            for r2, occ2 in found:
                 if r2 is r1 and occ2.path == occ1.path:
                     continue
                 v2 = covered(r2.lead, occ2)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 import random
 from itertools import combinations
@@ -7,8 +8,10 @@ import pytest
 
 from operadgb.elements import OperadElement
 from operadgb.groebner import RewriteRule, _Reducer, overlaps
+from operadgb.presentation import builtin_presentations
 from operadgb.trees import (
     GeneratorSymbol,
+    Tree,
     TreeError,
     all_trees,
     arity,
@@ -27,7 +30,7 @@ from operadgb.trees import (
     substitute,
 )
 
-from oracles import covered
+from oracles import covered, labelled_trees
 
 X = GeneratorSymbol("x", 2)
 Y = GeneratorSymbol("y", 2)
@@ -102,6 +105,37 @@ def test_enumeration_counts():
     assert [len(all_trees(GENS, n)) for n in (1, 2, 3, 4)] == [1, 3, 27, 405]
 
 
+BUILTINS = builtin_presentations()
+
+# sha256 of the newline-joined texts of all_trees, in its order, which the
+# benchmark's input generator samples by index
+ALL_TREES_SHA256 = {
+    ("novikov", 6):
+        "80ec2ce2ad226de7952165effd7bc700ba514ab43f7dcc7306129c9a83045c65",
+    ("gd", 5):
+        "e72e29f791f5502bc8c6e4dbc98239f951c7418edce09f42affa94866178f53b",
+}
+
+
+@pytest.mark.parametrize("preset, top", [("gd", 5), ("novikov", 6),
+                                         ("lie", 6)])
+def test_all_trees_match_the_labelling_oracle(preset, top):
+    gens = BUILTINS[preset].generators
+    for n in range(1, top + 1):
+        got = all_trees(gens, n)
+        assert len(set(got)) == len(got)
+        assert set(got) == set(labelled_trees(gens, n))
+        for m in got:
+            assert_well_formed(m)
+
+
+@pytest.mark.parametrize("preset, n", sorted(ALL_TREES_SHA256))
+def test_all_trees_keep_their_order(preset, n):
+    text = "\n".join(map(str, all_trees(BUILTINS[preset].generators, n)))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        ALL_TREES_SHA256[preset, n]
+
+
 def test_find_occurrences_examples():
     pat = t("z", 1, 2)
     host = t("z", t("z", 1, 2), 3)
@@ -139,6 +173,42 @@ def test_substitute_and_relabel():
     m = substitute(base, {1: t("z", 1, 3), 2: leaf(2)})
     assert m == t("x", t("z", 1, 3), 2)
     assert relabel_ordered(t("z", 1, 2), (4, 7)) == t("z", 4, 7)
+
+
+def assert_well_formed(m):
+    """Every vertex of ``m`` keeps the leaves and size of its children and
+    their minima increase, as the checked ``node`` would have made it."""
+    if m.is_leaf:
+        assert m.leaves == (m.label,) and m.size == 0
+        return
+    for c in m.children:
+        assert_well_formed(c)
+    assert m.leaves == tuple(sorted(l for c in m.children for l in c.leaves))
+    assert m.size == 1 + sum(c.size for c in m.children)
+    minima = [c.min_leaf for c in m.children]
+    assert minima == sorted(set(minima))
+
+
+def test_relabel_keeps_each_vertex_well_formed():
+    for m in all_trees(GENS, 4)[::5]:
+        assert relabel_ordered(m, (1, 2, 3, 4)) is m
+        for labels in combinations(range(1, 8), 4):
+            got = relabel_ordered(m, labels[::-1])  # any order of labels
+            assert got.leaves == labels
+            assert_well_formed(got)
+            assert relabel_ordered(got, (1, 2, 3, 4)) is m
+
+
+@pytest.mark.parametrize("labels", [(101, 101, 103), (0, 102, 104),
+                                    (102, 104), (102, 104, 106, 108)])
+def test_a_rejected_relabel_interns_nothing(labels):
+    """Repeated, zero and too few or too many labels raise before any
+    vertex is built, so the intern table gains no half-built tree."""
+    m = t("x", t("y", 1, 3), 2)
+    before = dict(Tree._interned)
+    with pytest.raises(TreeError):
+        relabel_ordered(m, labels)
+    assert Tree._interned == before
 
 
 def test_is_complete():
