@@ -152,6 +152,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def cmd_ambiguities(args: argparse.Namespace) -> int:
     n = args.degree
+    if n < 3:
+        raise UsageError(f"critical pairs start at degree 3, got --degree {n}")
     if n > CI_ARITY_BUDGET and not args.extended:
         raise BudgetExceededError(
             f"degree {n} exceeds the default budget; pass --extended")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .elements import Combination, axpy, fraction_terms, integer_form, normal_form
+from .elements import Combination, axpy, normal_form
 
 Mono = tuple  # tuple[(var, exp), ...] sorted by var, exps > 0
 
@@ -121,22 +121,22 @@ ZERO = Poly()
 def reduce_poly(f: Poly, basis: Sequence[Poly]) -> Poly:
     """Full remainder of f modulo the (assumed Groebner) basis: each
     monomial is rewritten by the first lead, in basis order, dividing it."""
-    # each lead with its monic tail, negated, as an integer pair
+    # each lead with its monic tail, negated
     leads = []
     for g in basis:
         if g:
             lm_g, lc_g = g.lm(), g.lc()
-            leads.append((lm_g, integer_form(
-                {mg: -cg / lc_g for mg, cg in g.terms.items() if mg != lm_g})))
+            leads.append((lm_g, {mg: -cg / lc_g for mg, cg in g.terms.items()
+                                 if mg != lm_g}))
 
-    def step(m: Mono) -> tuple[int, dict[Mono, int]] | None:
-        for lm_g, (den, nums) in leads:
+    def step(m: Mono) -> dict[Mono, Fraction] | None:
+        for lm_g, tail in leads:
             if mono_divides(lm_g, m):
                 q = mono_div(m, lm_g)
-                return den, {mono_mul(mg, q): v for mg, v in nums.items()}
+                return {mono_mul(mg, q): v for mg, v in tail.items()}
         return None
 
-    return f._like(fraction_terms(*normal_form(f.terms, step, {})))
+    return f._like(normal_form(f.terms, step, {}))
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:

@@ -39,15 +39,7 @@ from itertools import combinations, permutations, product
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
-from .elements import (
-    OperadElement,
-    add_term,
-    echelon,
-    fraction_terms,
-    integer_form,
-    normal_form,
-    reduce_row,
-)
+from .elements import OperadElement, add_term, axpy, echelon, normal_form
 from .groebner import GroebnerBasis, reduce_element
 from .presentation import BR, CIRC, convert_term, element_orbit
 from .trees import (
@@ -144,7 +136,7 @@ class RewriteContext:
         self._bracket: dict = {}
         # normal form per monomial; valid for the context's lifetime, since
         # the context is bound to one basis
-        self._nf_memo: dict[PMonomial, tuple[int, dict[PMonomial, int]]] = {}
+        self._nf_memo: dict = {}
 
     # -- letters -----------------------------------------------------------
 
@@ -332,16 +324,10 @@ class RewriteContext:
         apps = self.applications(pm)
         return self.apply(pm, apps[0]) if apps else None
 
-    def _integer_step(self, pm: PMonomial) -> tuple[int, dict] | None:
-        repl = self.step(pm)
-        return None if repl is None else integer_form(repl)
-
     def normal_form(self, poly: dict[PMonomial, Fraction]) -> dict[PMonomial, Fraction]:
         """Deterministic normal form: every monomial is rewritten by
-        ``step`` until nothing applies, memoized per monomial as an integer
-        pair."""
-        return fraction_terms(*normal_form(poly, self._integer_step,
-                                           self._nf_memo))
+        ``step`` until nothing applies, memoized per monomial."""
+        return normal_form(poly, self.step, self._nf_memo)
 
     def trace(self, poly: dict[PMonomial, Fraction]) -> list[str]:
         """The steps the normal form of ``poly`` needs: one line per
@@ -556,15 +542,21 @@ def independent_identities(residues: Sequence[OperadElement],
 
     At the residues' arity n the ideal generated by the basis and arity-n
     identities is the basis' own ideal plus the span of the identities'
-    S_n-orbits, so being new is a rank increase of ``orbit_pivots``.
+    S_n-orbits, so being new is a rank increase of ``orbit_pivots``.  In
+    a reduced form each lead occurs in its own pivot row only, so a row is
+    in the span exactly when subtracting ``row[lead] * (lead + tail)`` for
+    each lead it holds leaves nothing.
     """
     found: list[OperadElement] = []
-    key = basis.order.key
     pivots: dict = {}
     for res in residues:
-        row = dict(reduce_element(res, basis).terms)
-        if reduce_row(row, pivots, key) is None:
-            continue
-        found.append(res)
-        pivots = orbit_pivots([res], basis, pivots)
+        row = reduce_element(res, basis).terms
+        rest = dict(row)
+        for lead, c in row.items():
+            if lead in pivots:
+                del rest[lead]
+                axpy(rest, pivots[lead], -c)
+        if rest:
+            found.append(res)
+            pivots = orbit_pivots([res], basis, pivots)
     return found

@@ -4,9 +4,11 @@ Elements are canonicalized eagerly (no zero coefficients, one arity per
 element) and all coefficients are :class:`fractions.Fraction`; no floating
 point appears anywhere, since the dimension tables downstream require exact
 rank computations.  The two hot kernels, memoized normal forms and
-echelon elimination, run on Python ints instead: a normal form is an
-integer pair ``(den, {monomial: int})`` and elimination is fraction-free
-over primitive integer rows, so Fractions are built only at their edges.
+echelon elimination, run on Python ints inside: the normal-form memo keeps
+each normal form as an integer pair ``(den, {monomial: int})`` and
+elimination is fraction-free over primitive integer rows.  Both take and
+return plain ``{monomial: coefficient}`` maps, so the pairs never leave
+this module.
 """
 
 from __future__ import annotations
@@ -287,58 +289,61 @@ def fraction_terms(den: int, nums: Mapping[Hashable, int]
     return {t: Fraction(v, den) for t, v in nums.items()}
 
 
-def _combine(den: int, coeffs: Mapping[Hashable, Fraction | int],
+def _combine(coeffs: Mapping[Hashable, Fraction | int],
              form: Callable[[Hashable], tuple[int, Mapping[Hashable, int]]],
              ) -> tuple[int, dict[Hashable, int]]:
-    """``sum(coeffs[t] * form(t)) / den`` as a primitive integer pair,
-    each ``form(t)`` an integer pair: the parts are brought to the lcm of
-    their denominators, so the sum runs over plain ints."""
+    """``sum(coeffs[t] * form(t))`` as a primitive integer pair, each
+    ``form(t)`` an integer pair and each coefficient an int or a
+    :class:`Fraction`: the parts are brought to the lcm of their
+    denominators, so the sum runs over plain ints."""
     parts = []
     for t, c in coeffs.items():
         d, nums = form(t)
         parts.append((c.numerator, c.denominator * d, nums))
     if not parts:
         return 1, {}
-    common = lcm(*(q for _, q, _ in parts))
+    den = lcm(*(q for _, q, _ in parts))
     # the longest part fills the accumulator without lookups
     parts.sort(key=lambda part: len(part[2]), reverse=True)
     p, q, nums = parts[0]
-    s = p * (common // q)
+    s = p * (den // q)
     acc = {u: s * v for u, v in nums.items()}
     get = acc.get
     for p, q, nums in parts[1:]:
-        s = p * (common // q)
+        s = p * (den // q)
         for u, v in nums.items():
             acc[u] = get(u, 0) + s * v
     if 0 in acc.values():
         acc = {u: v for u, v in acc.items() if v}
-    den *= common
     g = gcd(den, *acc.values())
     if g == 1:
         return den, acc
     return den // g, {u: v // g for u, v in acc.items()}
 
 
-def memo_normal_form(m: Hashable,
-                     step: Callable[[Hashable],
-                                    tuple[int, Mapping[Hashable, int]] | None],
+Step = Callable[[Hashable], Mapping[Hashable, Fraction | int] | None]
+
+
+def memo_normal_form(m: Hashable, step: Step,
                      memo: dict[Hashable, tuple[int, dict[Hashable, int]]],
                      ) -> tuple[int, dict[Hashable, int]]:
     """Normal form of the monomial ``m`` under a terminating rewriting.
 
-    ``step(m)`` is the strategy's one rewrite of ``m`` as an integer pair
-    ``(den, {monomial: int})``, standing for the numerators over ``den``,
-    or ``None`` when ``m`` is normal.  Because the strategy fixes one step
-    per monomial, the normal form is linear and is memoized per monomial in
-    ``memo`` as a primitive pair: ``den >= 1`` and ``gcd(den, *nums) ==
-    1``, so the memo holds Python ints only.  The work runs on an explicit
-    stack, so deep rewrite chains need no recursion.  The returned pair
-    belongs to the memo and must not be mutated.
+    ``step(m)`` is the strategy's one rewrite of ``m`` as a map
+    ``{monomial: coefficient}``, each coefficient an int or a
+    :class:`Fraction`, or ``None`` when ``m`` is normal.  Because the
+    strategy fixes one step per monomial, the normal form is linear and is
+    memoized per monomial in ``memo`` as a primitive integer pair ``(den,
+    {monomial: int})`` standing for the numerators over ``den``, with
+    ``den >= 1`` and ``gcd(den, *nums) == 1``, so the memo holds Python
+    ints only.  The work runs on an explicit stack, so deep rewrite chains
+    need no recursion.  The returned pair belongs to the memo and must not
+    be mutated.
     """
     cached = memo.get(m)
     if cached is not None:
         return cached
-    pending: dict[Hashable, tuple[int, Mapping[Hashable, int]]] = {}
+    pending: dict[Hashable, Mapping[Hashable, Fraction | int]] = {}
     stack = [m]
     while stack:
         cur = stack[-1]
@@ -353,8 +358,7 @@ def memo_normal_form(m: Hashable,
                 stack.pop()
                 continue
             pending[cur] = rewritten
-        den, nums = rewritten
-        missing = [t for t in nums if t not in memo]
+        missing = [t for t in rewritten if t not in memo]
         if missing:
             # pending monomials are the ancestors of cur: meeting one again
             # is a cycle, which would grow the stack forever
@@ -362,44 +366,20 @@ def memo_normal_form(m: Hashable,
                 raise ValueError(f"rewriting does not terminate at {cur!r}")
             stack.extend(missing)
             continue
-        memo[cur] = _combine(den, nums, memo.__getitem__)
+        memo[cur] = _combine(rewritten, memo.__getitem__)
         del pending[cur]
         stack.pop()
     return memo[m]
 
 
-def normal_form(terms: Mapping[Hashable, Fraction | int],
-                step: Callable[[Hashable],
-                               tuple[int, Mapping[Hashable, int]] | None],
+def normal_form(terms: Mapping[Hashable, Fraction | int], step: Step,
                 memo: dict[Hashable, tuple[int, dict[Hashable, int]]],
-                ) -> tuple[int, dict[Hashable, int]]:
+                ) -> dict[Hashable, Fraction]:
     """Normal form of the combination ``terms`` by
-    :func:`memo_normal_form`, as a primitive integer pair of its own."""
-    return _combine(1, terms, lambda t: memo_normal_form(t, step, memo))
-
-
-def reduce_row(row: dict[Hashable, Fraction],
-               pivots: Mapping[Hashable, dict[Hashable, Fraction]],
-               key: Callable[[Hashable], object],
-               ) -> tuple[Hashable, dict[Hashable, Fraction]] | None:
-    """Forward-reduce a sparse row by echelon pivots.
-
-    ``pivots`` maps each pivot lead to its monic tail: the pivot row minus
-    its lead term, divided by the lead coefficient.  Leads are taken
-    greatest first under ``key``; a lead without a pivot ends the
-    reduction.  Returns ``(lead, tail)`` with the tail made monic the same
-    way, or ``None`` when the row reduces to zero.  ``row`` is consumed.
-    Monomials are compared only by equality, so any hashable monomial type
-    works, interned or not.
-    """
-    while row:
-        lead = max(row, key=key)
-        c = row.pop(lead)
-        tail = pivots.get(lead)
-        if tail is None:
-            return lead, {t: v / c for t, v in row.items()}
-        axpy(row, tail, -c)
-    return None
+    :func:`memo_normal_form`: its nonzero :class:`Fraction` terms, empty
+    exactly when it is 0."""
+    return fraction_terms(*_combine(
+        terms, lambda t: memo_normal_form(t, step, memo)))
 
 
 def _eliminate(row: dict[int, int], pivot: Mapping[int, int], col: int

@@ -21,14 +21,13 @@ second lead occurs.  :func:`overlaps` spells out why this is exhaustive.
 Reduction is deterministic: a monomial's one rewrite step uses the divisor
 at its first pre-order position, rules tried in a fixed order (arity, lead
 key, rid), so normal forms are linear and are memoized per monomial by
-:func:`~operadgb.elements.memo_normal_form`, over Python ints: each rule
-tail is kept as an integer pair ``(den, {monomial: int})``, and so is each
-memoized normal form.  A trie over the leads'
-pre-order skeletons yields the candidate rules at a position in that order,
-each confirmed by a full occurrence match, so the index cannot change the
+:func:`~operadgb.elements.normal_form`: a step grafts the rule's tail
+terms into the monomial as they are.  A trie over the leads' pre-order
+skeletons yields the candidate rules at a position in that order, each
+confirmed by a full occurrence match, so the index cannot change the
 divisor.  The divisor of each proper subtree is memoized, so a subtree
-that many monomials share is searched once.  The reducer fills its memos lazily, so
-it is not safe to share between threads.
+that many monomials share is searched once.  The reducer fills its memos
+lazily, so it is not safe to share between threads.
 """
 
 from __future__ import annotations
@@ -44,10 +43,8 @@ from .elements import (
     OperadElement,
     axpy,
     echelon,
-    fraction_terms,
     graft_at,
     graft_terms,
-    integer_form,
     normal_form,
 )
 from .presentation import Presentation
@@ -121,9 +118,7 @@ class _Reducer:
                 trie = trie[0].setdefault(t.gen, ({}, []))
                 todo.extend(reversed(t.children))
             trie[1].append(rank)
-        # each tail once as an integer pair, the shape of the memo's values
-        self._tails = {r: integer_form(r.tail.terms) for r in self.rules}
-        self._memo: dict[Tree, tuple[int, dict[Tree, int]]] = {}
+        self._memo: dict = {}  # for elements.normal_form
         self._divisors: dict[Tree, tuple[RewriteRule, Occurrence] | None] = {}
 
     def occurrences(self, m: Tree):
@@ -182,17 +177,16 @@ class _Reducer:
                     return rule, Occurrence((i,) + occ.path, occ.slots)
         return found
 
-    def _step(self, m: Tree) -> tuple[int, dict[Tree, int]] | None:
+    def _step(self, m: Tree) -> dict[Tree, Fraction] | None:
         div = self.find_divisor(m)
         if div is None:
             return None
         rule, occ = div
-        den, nums = self._tails[rule]
-        return den, graft_terms(m, occ, nums)
+        return graft_terms(m, occ, rule.tail.terms)
 
     def nf_terms(self, terms: dict[Tree, Fraction]) -> dict[Tree, Fraction]:
         """The normal form of ``terms``, empty exactly when it is 0."""
-        return fraction_terms(*normal_form(terms, self._step, self._memo))
+        return normal_form(terms, self._step, self._memo)
 
 
 class GroebnerBasis:

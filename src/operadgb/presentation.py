@@ -386,6 +386,9 @@ def parse_presentation(text: str) -> Presentation:
         relations:
         z(z(1 2) 3) - z(1 z(2 3)) - z(z(1 3) 2)
         # comments and blank lines are fine
+
+    ``operad`` and ``extends`` may each appear once; every ``generators``
+    line adds to the generators.
     """
     name = None
     gens: list[GeneratorSymbol] = []
@@ -403,10 +406,14 @@ def parse_presentation(text: str) -> Presentation:
             head, _, rest = line.partition(" ")
             rest = rest.strip()
             if head == "operad":
+                if name is not None:
+                    raise ParseError("repeated 'operad' directive", lineno, 1)
                 if not rest:
                     raise ParseError("missing operad name", lineno, 1)
                 name = rest
             elif head == "extends":
+                if base is not None:
+                    raise ParseError("repeated 'extends' directive", lineno, 1)
                 builtins = builtin_presentations()
                 if rest not in builtins:
                     raise ParseError(f"unknown preset {rest!r}", lineno, 1)

@@ -14,6 +14,9 @@ worklist that does not share the memoized normal-form engine.
 ``fraction_memo_normal_form`` and ``fraction_echelon`` are the two kernels
 of ``elements`` as they were over :class:`Fraction`, before they moved to
 integer arithmetic; the integer kernels must agree with them exactly.
+``fraction_echelon`` forward-reduces one row at a time with
+``reduce_row``.  ``rank_kept_residues`` decides which residues are
+independent identities by ranks alone.
 ``PoissonModel`` is a concrete differential Poisson algebra on polynomials,
 in which every identity of differential Poisson algebras evaluates to zero.
 ``swept_envelope_checks`` is the envelope check by sampling: the Jacobi
@@ -46,10 +49,11 @@ from operadgb.elements import (
     OperadElement,
     add_term,
     axpy,
-    reduce_row,
+    echelon,
     shuffle_compose,
 )
-from operadgb.presentation import Presentation
+from operadgb.groebner import reduce_element
+from operadgb.presentation import Presentation, element_orbit
 from operadgb.syntax import ParseError
 from operadgb.trees import (
     ShufflePartition,
@@ -206,6 +210,25 @@ def fraction_memo_normal_form(m, step, memo: dict) -> dict:
     return memo[m]
 
 
+def reduce_row(row: dict, pivots: dict, key):
+    """Forward-reduce a sparse row by echelon pivots.
+
+    ``pivots`` maps each pivot lead to its monic tail: the pivot row minus
+    its lead term, divided by the lead coefficient.  Leads are taken
+    greatest first under ``key``; a lead without a pivot ends the
+    reduction.  Returns ``(lead, tail)`` with the tail made monic the same
+    way, or ``None`` when the row reduces to zero.  ``row`` is consumed.
+    """
+    while row:
+        lead = max(row, key=key)
+        c = row.pop(lead)
+        tail = pivots.get(lead)
+        if tail is None:
+            return lead, {t: v / c for t, v in row.items()}
+        axpy(row, tail, -c)
+    return None
+
+
 def fraction_echelon(rows, key, reduced: dict | None = None) -> dict:
     """Reduced row echelon form ``{lead: monic tail}`` over
     :class:`Fraction`: rows forward-reduced shortest first by
@@ -222,6 +245,23 @@ def fraction_echelon(rows, key, reduced: dict | None = None) -> dict:
             del tail[t]
             axpy(tail, pivots[t], -c)
     return pivots
+
+
+def rank_kept_residues(residues, basis) -> list[int]:
+    """The indices of the residues that ``independent_identities`` keeps,
+    by rank: a residue is kept when ``echelon`` of the orbit images of the
+    residues kept before it, all reduced modulo ``basis``, grows when the
+    residue's own reduced row is added."""
+    key = basis.order.key
+    rows: list = []
+    kept = []
+    for i, res in enumerate(residues):
+        row = reduce_element(res, basis).terms
+        if len(echelon(rows + [row], key)) > len(echelon(rows, key)):
+            kept.append(i)
+            rows += [reduce_element(img, basis).terms
+                     for img in element_orbit(res)]
+    return kept
 
 
 def covered(pattern, occ) -> set:

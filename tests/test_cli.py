@@ -356,7 +356,12 @@ def test_dims_reports_a_header_generator_spec_at_its_column(tmp_path, capsys):
      "unknown identity 'nope'; known: "),
     (["dims", "--basis", "{basis}", "--up-to", "-2"],
      "--up-to must be 0 (the basis's max arity) or positive, got -2"),
-], ids=["preset", "no-input", "no-element", "identity", "up-to"])
+    # refused before any completion, not as a budget the user never set
+    *[(["ambiguities", "--degree", d],
+       f"critical pairs start at degree 3, got --degree {d}\n")
+      for d in ("2", "1", "0", "-1")],
+], ids=["preset", "no-input", "no-element", "identity", "up-to",
+        "degree-2", "degree-1", "degree-0", "degree-minus-1"])
 def test_usage_errors_have_no_position(argv, message, tmp_path, capsys):
     basis = tmp_path / "gd3.basis"
     assert run(["gb", "--preset", "gd", "--max-arity", "3", "-o", str(basis)],
@@ -365,6 +370,20 @@ def test_usage_errors_have_no_position(argv, message, tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert "line" not in err
+
+
+@pytest.mark.parametrize("directive, line", [("extends", "extends novikov"),
+                                             ("operad", "operad q")])
+def test_a_repeated_directive_is_refused_at_its_line(directive, line,
+                                                     tmp_path, capsys):
+    """A second ``extends`` would drop the first preset's relations and a
+    second ``operad`` would rename the operad, so both are refused."""
+    path = tmp_path / "p.txt"
+    path.write_text(f"operad p\nextends gd\n{line}\nrelations:\n"
+                    "x(x(1 2) 3) - x(1 x(2 3))\n")
+    assert run(["gb", "--input", str(path)], capsys) == (
+        1, "", f"error: line 3, column 1: repeated {directive!r} "
+               "directive\n")
 
 
 def test_unknown_extends_keeps_its_line(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -32,10 +33,12 @@ from operadgb.presentation import (
     SPECIAL_2,
     builtin_presentations,
     convert_instance,
+    element_orbit,
     symmetric_to_shuffle,
 )
+from operadgb.trees import all_trees
 
-from oracles import PoissonModel, worklist_normal_form
+from oracles import PoissonModel, rank_kept_residues, worklist_normal_form
 
 BUILTINS = builtin_presentations()
 
@@ -296,6 +299,42 @@ def test_degree4_residue_space_has_rank_two(ctx, gd4):
     assert len(both) == 10  # same space
     found = independent_identities(residues, gd4)
     assert len(found) == 2
+
+
+def kept_indices(found, residues):
+    return [i for i, r in enumerate(residues) if any(f is r for f in found)]
+
+
+def test_independent_identities_match_the_rank_oracle(ctx, gd4):
+    """On the degree-4 residues modulo gd, as ``ambiguities`` builds them,
+    the kept residues are those that raise the rank."""
+    residues = [ctx.residue(a, modulo=gd4)
+                for a in ctx.enumerate_ambiguities(4)]
+    found = independent_identities(residues, gd4)
+    assert kept_indices(found, residues) == \
+        rank_kept_residues(residues, gd4)
+
+
+def test_independent_identities_test_membership_on_every_lead(ctx, gd4):
+    """A combination of two orbit images of a kept residue holds several
+    pivot leads and lies in the span; adding a normal monomial outside
+    every pivot row takes it out."""
+    first = next(r for a in ctx.enumerate_ambiguities(4)
+                 if (r := ctx.residue(a, modulo=gd4)))
+    pivots = orbit_pivots([first], gd4)
+    images = [reduce_element(img, gd4) for img in element_orbit(first)]
+    combos = (one.scale(2) - two.scale(Fraction(3, 5))
+              for one, two in combinations(images, 2))
+    combo = next(c for c in combos if sum(t in pivots for t in c.terms) >= 2)
+    in_rows = set(pivots).union(*pivots.values())
+    outside = next(
+        t for t in all_trees(gd4.generators, 4)
+        if t not in in_rows and reduce_element(OperadElement.monomial(t), gd4)
+        == OperadElement.monomial(t))
+    residues = [first, combo, combo + OperadElement.monomial(outside)]
+    found = independent_identities(residues, gd4)
+    assert kept_indices(found, residues) == [0, 2] == \
+        rank_kept_residues(residues, gd4)
 
 
 def test_orbit_pivots_are_the_reduced_form_in_any_input_order(ctx, gd4):

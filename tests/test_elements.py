@@ -237,7 +237,8 @@ def test_axpy_without_scale_stores_fractions_from_ints():
     acc = axpy({}, {"a": 3, "b": -1})
     assert acc == {"a": 3, "b": -1}
     assert all(type(v) is Fraction for v in acc.values())
-    # reduce_row divides stored values; an int would make that a float
+    # the oracles' reduce_row divides stored values; an int would make
+    # that a float
     assert type(acc["a"] / 2) is Fraction
 
 
@@ -263,7 +264,7 @@ def test_memo_normal_form_is_linear_and_steps_each_monomial_once():
 
     def step(n):
         calls.append(n)
-        return (1, {n - 1: 1, n - 2: 1}) if n >= 2 else None
+        return {n - 1: 1, n - 2: 1} if n >= 2 else None
 
     memo: dict = {}
     assert memo_normal_form(30, step, memo) == (1, {1: 832040, 0: 514229})
@@ -273,7 +274,7 @@ def test_memo_normal_form_is_linear_and_steps_each_monomial_once():
 
 
 def test_memo_normal_form_deep_chain_and_cycle():
-    chain = memo_normal_form(5000, lambda n: (1, {n - 1: 2}) if n else None, {})
+    chain = memo_normal_form(5000, lambda n: {n - 1: 2} if n else None, {})
     assert chain == (1, {0: 2 ** 5000})
     with pytest.raises(ValueError, match="does not terminate"):
-        memo_normal_form(0, lambda n: (1, {1 - n: 1}), {})
+        memo_normal_form(0, lambda n: {1 - n: 1}, {})

@@ -129,21 +129,18 @@ def test_memo_normal_form_keeps_denominators_primitive():
     """n -> (n-1)/2 + (n-2)/3: the pairs carry the denominators, and
     every memo value stays primitive."""
     def step(n):
-        return (6, {n - 1: 3, n - 2: 2}) if n >= 2 else None
-
-    def fraction_step_(n):
         return {n - 1: Fraction(1, 2), n - 2: Fraction(1, 3)} if n >= 2 else None
 
     memo: dict = {}
     den, nums = memo_normal_form(40, step, memo)
     assert fraction_terms(den, nums) == \
-        fraction_memo_normal_form(40, fraction_step_, {})
+        fraction_memo_normal_form(40, step, {})
     assert den > 2 ** 40
     assert_primitive_memo(memo)
     # a step whose terms cancel gives the zero pair
     cancel = memo_normal_form(
-        "a", lambda m: (2, {"b": 1, "c": -1}) if m == "a" else
-        ((1, {"d": 1}) if m in "bc" else None), {})
+        "a", lambda m: {"b": Fraction(1, 2), "c": Fraction(-1, 2)}
+        if m == "a" else ({"d": 1} if m in "bc" else None), {})
     assert cancel == (1, {})
 
 

@@ -257,6 +257,12 @@ def test_presentation_extends():
     assert p.gen_names == ("x", "y", "z")
 
 
+def test_generators_lines_add_up():
+    p = parse_presentation("operad p\ngenerators x/2\ngenerators y/2\n"
+                           "relations:\nx(x(1 2) 3) - y(1 y(2 3))\n")
+    assert p.gen_names == ("x", "y")
+
+
 def test_presentation_errors():
     with pytest.raises(ParseError):
         parse_presentation("generators x/2\nrelations:\nx(1 2)\n")  # no name

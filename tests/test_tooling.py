@@ -170,3 +170,16 @@ def test_every_src_name_has_a_reader():
     unread = [where for name, where in sorted(defined.items())
               if name not in readers]
     assert not unread, unread
+
+
+def test_integer_pairs_stay_inside_elements():
+    """The normal-form memo's integer pairs are made and read only in
+    ``elements``: no other module reads the names that handle them, so
+    rewrite steps and normal forms stay plain maps."""
+    private = {"integer_form", "fraction_terms", "memo_normal_form",
+               "_combine"}
+    leaks = [f"{path.name}: {name}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "elements.py"
+             for name in sorted(private & _read_names(
+                 ast.parse(path.read_text(encoding="utf-8"))))]
+    assert not leaks, leaks
