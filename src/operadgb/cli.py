@@ -84,6 +84,8 @@ def _load_presentation(args: argparse.Namespace):
 
 
 def cmd_gb(args: argparse.Namespace) -> int:
+    if args.max_arity < 1:
+        raise UsageError(f"--max-arity must be positive, got {args.max_arity}")
     p = _load_presentation(args)
     if args.max_arity < p.max_relation_arity:
         raise BudgetExceededError(
@@ -118,6 +120,12 @@ def cmd_dims(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _generators_used(t) -> set[tuple[str, int]]:
+    """The generator name and child count of every vertex of ``t``."""
+    return set() if t.is_leaf else {(t.gen, len(t.children))}.union(
+        *map(_generators_used, t.children))
+
+
 def cmd_reduce(args: argparse.Namespace) -> int:
     basis = load_basis(args.basis_path)
     if args.order_id and args.order_id != basis.order_id:
@@ -130,6 +138,14 @@ def cmd_reduce(args: argparse.Namespace) -> int:
                              f"{sorted(NAMED_IDENTITIES)}")
         elems = shuffle_images(args.identity)
         label = args.identity
+        used = set().union(*(_generators_used(m)
+                             for e in elems for m in e.terms))
+        missing = sorted(used - {(g.name, g.arity) for g in basis.generators})
+        if missing:
+            name, k = missing[0]
+            raise UsageError(
+                f"identity {label!r} uses generator {name}/{k}, not one of "
+                f"the basis generators {' '.join(map(str, basis.generators))}")
     else:
         if not args.input_path:
             raise UsageError("need --input or --identity")

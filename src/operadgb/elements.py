@@ -207,7 +207,8 @@ def shuffle_compose(f: OperadElement, pi: ShufflePartition,
 
 
 def graft_at(host: Tree, occ: Occurrence, replacement: OperadElement) -> OperadElement:
-    """Replace the divisor at ``occ`` by ``replacement``, linearly."""
+    """Replace the divisor at ``occ`` by ``replacement``, linearly.  ``occ``
+    must be an occurrence in ``host``, as found; its slots are not checked."""
     if replacement.arity != len(occ.slots):
         raise ElementError(
             f"replacement arity {replacement.arity} does not fit occurrence "

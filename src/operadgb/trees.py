@@ -49,9 +49,9 @@ class Tree:
 
     They are the only public constructors and return the one tree of each
     structure, and copies and unpickled trees are rebuilt through them, so
-    trees are equal exactly when they are identical.  Relabelling and
-    enumeration intern the vertices they build through the same table,
-    without :func:`node`'s checks, which their construction makes true.
+    trees are equal exactly when they are identical.  ``_vertex`` interns
+    every vertex: :func:`node` checks a tree from outside first, and each
+    derived tree, whose construction makes those checks true, goes there.
 
     Attributes:
         gen: generator name at the root, or ``None`` for a leaf.
@@ -131,29 +131,37 @@ def node(gen: str, children: Sequence[Tree]) -> Tree:
     """An internal vertex labelled ``gen`` over the given child subtrees.
 
     Children must already be in shuffle position: their minimal leaf labels
-    strictly increasing, all leaf labels pairwise distinct.
+    strictly increasing, all leaf labels pairwise distinct.  A new vertex
+    is checked before ``_vertex`` interns it, so a rejected one is not.
     """
     kids = tuple(children)
-    if len(kids) < 1:
-        raise TreeError("internal vertex needs at least one child")
     cached = Tree._interned.get((gen, kids, 0))
     if cached is not None:
         return cached
+    if len(kids) < 1:
+        raise TreeError("internal vertex needs at least one child")
     prev_min = 0
     for c in kids:
         if c.min_leaf <= prev_min:
             raise TreeError(
                 f"children minima must strictly increase: {[str(k) for k in kids]}")
         prev_min = c.min_leaf
-    merged = _merge_leaves(kids)
-    size = 1 + sum(c.size for c in kids)
-    return Tree._intern(gen, kids, 0, merged, size)
+    return _vertex(gen, kids)
 
 
-def _merge_leaves(kids: tuple[Tree, ...]) -> tuple[int, ...]:
-    labels: list[int] = []
-    for c in kids:
-        labels.extend(c.leaves)
+def _vertex(gen: str, kids: tuple[Tree, ...],
+            leaves: tuple[int, ...] | None = None) -> Tree:
+    """The one place a vertex is interned: ``gen`` over children known to
+    be in shuffle position, whose merged leaves are ``leaves`` if given."""
+    t = Tree._interned.get((gen, kids, 0))
+    if t is None:
+        if leaves is None:
+            leaves = _sorted_distinct([l for c in kids for l in c.leaves])
+        t = Tree._intern(gen, kids, 0, leaves, 1 + sum(c.size for c in kids))
+    return t
+
+
+def _sorted_distinct(labels: list[int]) -> tuple[int, ...]:
     labels.sort()
     for a, b in zip(labels, labels[1:]):
         if a == b:
@@ -320,26 +328,26 @@ def subtree_at(t: Tree, path: tuple[int, ...]) -> Tree:
 
 
 def replace_at(t: Tree, path: tuple[int, ...], sub: Tree) -> Tree:
-    """Replace the subtree at ``path``; the new subtree must keep the same
-    leaf label set so the shuffle condition along the path is preserved."""
+    """Replace the subtree at ``path`` by one on the same leaf labels, so
+    every vertex along the path keeps its leaves and shuffle condition."""
     if not path:
         return sub
     i = path[0]
     kids = list(t.children)
     kids[i] = replace_at(kids[i], path[1:], sub)
-    return node(t.gen, kids)
+    return _vertex(t.gen, tuple(kids), t.leaves)
 
 
 def substitute(t: Tree, assignment: dict[int, Tree]) -> Tree:
     """Replace each leaf ``l`` of ``t`` by ``assignment[l]``.
 
     Requires the assignment to be min-monotone in the leaf labels (as slot
-    maps from occurrences and shuffle compositions always are); the planar
-    structure then carries over unchanged and :func:`node` revalidates it.
+    maps, shuffle compositions and relabellings always are); the planar
+    structure and shuffle condition then carry over, unchecked.
     """
     if t.is_leaf:
         return assignment[t.label]
-    return node(t.gen, [substitute(c, assignment) for c in t.children])
+    return _vertex(t.gen, tuple([substitute(c, assignment) for c in t.children]))
 
 
 def relabel_ordered(t: Tree, labels: Sequence[int]) -> Tree:
@@ -347,40 +355,14 @@ def relabel_ordered(t: Tree, labels: Sequence[int]) -> Tree:
 
     The labels are checked here, before any vertex is built, so a rejected
     relabeling leaves nothing behind in the intern table."""
-    new = tuple(sorted(labels))
-    if len(new) != t.arity:
+    if len(labels) != t.arity:
         raise TreeError("relabeling size mismatch")
-    if new[0] < 1:
-        raise TreeError(f"leaf label must be >= 1, got {new[0]}")
-    for a, b in zip(new, new[1:]):
-        if a == b:
-            raise TreeError(f"duplicate leaf label {a}")
+    if min(labels) < 1:
+        raise TreeError(f"leaf label must be >= 1, got {min(labels)}")
+    new = _sorted_distinct(list(labels))
     if new == t.leaves:
         return t
-    return _relabel(t, dict(zip(t.leaves, new)))
-
-
-def _relabel(t: Tree, mapping) -> Tree:
-    """``t`` with each leaf label ``l`` replaced by ``mapping[l]``, for an
-    increasing map of valid labels: the shuffle condition and the order of
-    every vertex's leaves carry over, so no vertex is checked again."""
-    if t.gen is None:
-        return leaf(mapping[t.label])
-    kids = tuple([_relabel(c, mapping) for c in t.children])
-    new = Tree._interned.get((t.gen, kids, 0))
-    if new is None:
-        new = Tree._intern(t.gen, kids, 0,
-                           tuple([mapping[l] for l in t.leaves]), t.size)
-    return new
-
-
-def _vertex(gen: str, kids: tuple[Tree, ...], leaves: tuple[int, ...]) -> Tree:
-    """The vertex ``gen`` over children known to be in shuffle position,
-    whose leaves are ``leaves``: :func:`node` without its checks."""
-    t = Tree._interned.get((gen, kids, 0))
-    if t is None:
-        t = Tree._intern(gen, kids, 0, leaves, 1 + sum(c.size for c in kids))
-    return t
+    return substitute(t, dict(zip(t.leaves, map(leaf, new))))
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +457,9 @@ def _block_graftings(levels: Sequence[Sequence[Tree]]
         if got is None:
             if block[-1] == len(block):  # the identity
                 got = levels[i]
-            else:
-                mapping = (0,) + block  # label l goes to mapping[l]
-                got = [_relabel(t, mapping) for t in levels[i]]
+            else:  # label l goes to block[l - 1]
+                onto = dict(enumerate(map(leaf, block), 1))
+                got = [substitute(t, onto) for t in levels[i]]
             placed[i][block] = got
         return got
 

@@ -360,8 +360,11 @@ def test_dims_reports_a_header_generator_spec_at_its_column(tmp_path, capsys):
     *[(["ambiguities", "--degree", d],
        f"critical pairs start at degree 3, got --degree {d}\n")
       for d in ("2", "1", "0", "-1")],
+    *[(["gb", "--preset", "gd", "--max-arity", n],
+       f"--max-arity must be positive, got {n}\n") for n in ("0", "-2")],
 ], ids=["preset", "no-input", "no-element", "identity", "up-to",
-        "degree-2", "degree-1", "degree-0", "degree-minus-1"])
+        "degree-2", "degree-1", "degree-0", "degree-minus-1",
+        "max-arity-0", "max-arity-minus-2"])
 def test_usage_errors_have_no_position(argv, message, tmp_path, capsys):
     basis = tmp_path / "gd3.basis"
     assert run(["gb", "--preset", "gd", "--max-arity", "3", "-o", str(basis)],
@@ -370,6 +373,26 @@ def test_usage_errors_have_no_position(argv, message, tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert "line" not in err
+
+
+@pytest.mark.parametrize("source, identity, message", [
+    (["--input", "{pres}"], "left-symmetry",
+     "identity 'left-symmetry' uses generator x/2, not one of the basis "
+     "generators x/3 y/2 z/2\n"),
+    (["--preset", "novikov"], "spec1",
+     "identity 'spec1' uses generator z/2, not one of the basis "
+     "generators x/2 y/2\n"),
+], ids=["child-count", "name"])
+def test_reduce_refuses_an_identity_over_other_generators(
+        source, identity, message, tmp_path, capsys):
+    """An identity whose images use a generator the basis lacks, by name or
+    by child count, is a usage error, not a membership answer."""
+    pres, basis = tmp_path / "p.txt", tmp_path / "p.basis"
+    pres.write_text("operad p\ngenerators x/3 y/2 z/2\nrelations:\n")
+    assert run(["gb", *[a.format(pres=pres) for a in source],
+                "--max-arity", "3", "-o", str(basis)], capsys)[0] == 0
+    assert run(["reduce", "--basis", str(basis), "--identity", identity],
+               capsys) == (1, "", f"error: {message}")
 
 
 @pytest.mark.parametrize("directive, line", [("extends", "extends novikov"),

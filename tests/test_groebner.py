@@ -24,6 +24,7 @@ from operadgb.hilbert import NormalMonomials, count_normal_monomials, emit_table
 from operadgb.presentation import builtin_presentations, shuffle_images
 from operadgb.trees import (
     GeneratorSymbol,
+    Tree,
     all_trees,
     find_occurrences,
     iter_positions,
@@ -40,6 +41,7 @@ from oracles import (
     token_list_parse_element,
     token_list_parse_monomial,
 )
+from test_trees import assert_vertex_well_formed
 
 BUILTINS = builtin_presentations()
 
@@ -123,6 +125,27 @@ def test_reduce_idempotent_and_graded(gd4):
         assert reduce_element(nf, gd4) == nf
         for t in nf.terms:
             assert gd4.reducer.find_divisor(t) is None
+
+
+def test_every_interned_tree_is_well_formed(gd5, wsgd5, novikov6):
+    """Trees derived from others (overlaps, grafts, reductions and
+    enumeration) are interned without ``node``'s checks; after completing
+    and reducing, every tree in the intern table must still be one the
+    checked ``node`` would have built."""
+    rng = random.Random(20)
+    for basis in (gd5, wsgd5, novikov6):
+        mons = all_trees(basis.generators, basis.max_arity)
+        for _ in range(20):
+            reduce_element(OperadElement(
+                {m: rng.randint(1, 4) for m in rng.sample(mons, 3)},
+                basis.max_arity), basis)
+    for name in ("spec1", "spec2", "spec3", "spec4", "spec5"):
+        for e in shuffle_images(name):
+            reduce_element(e, gd5)
+            reduce_element(e, wsgd5)
+    for key, t in list(Tree._interned.items()):
+        assert key == (t.gen, t.children, t.label)
+        assert_vertex_well_formed(t)
 
 
 def test_dimensions_match_bruteforce_oracle():

@@ -183,3 +183,34 @@ def test_integer_pairs_stay_inside_elements():
              for name in sorted(private & _read_names(
                  ast.parse(path.read_text(encoding="utf-8"))))]
     assert not leaks, leaks
+
+
+def test_only_leaf_and_vertex_intern_trees():
+    """``Tree._intern`` is called only by ``leaf`` and ``trees._vertex``,
+    so every derived tree is interned in one place, and ``node`` checks a
+    tree before handing it there."""
+
+    class Callers(ast.NodeVisitor):
+        def __init__(self, where):
+            self.where, self.scope, self.found = where, [], set()
+
+        def visit_FunctionDef(self, fn):
+            self.scope.append(fn.name)
+            self.generic_visit(fn)
+            self.scope.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Call(self, call):
+            if isinstance(call.func, ast.Attribute) and \
+                    call.func.attr == "_intern":
+                self.found.add(f"{self.where}: "
+                               f"{self.scope[-1] if self.scope else '<module>'}")
+            self.generic_visit(call)
+
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        visitor = Callers(path.name)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        callers |= visitor.found
+    assert callers == {"trees.py: leaf", "trees.py: _vertex"}, sorted(callers)

@@ -175,18 +175,25 @@ def test_substitute_and_relabel():
     assert relabel_ordered(t("z", 1, 2), (4, 7)) == t("z", 4, 7)
 
 
-def assert_well_formed(m):
-    """Every vertex of ``m`` keeps the leaves and size of its children and
-    their minima increase, as the checked ``node`` would have made it."""
+def assert_vertex_well_formed(m):
+    """``m`` keeps the leaves and size of its children, their minima
+    increase, and it is interned under its key, as the checked ``node``
+    would have made it."""
+    assert Tree._interned[m.gen, m.children, m.label] is m
     if m.is_leaf:
         assert m.leaves == (m.label,) and m.size == 0
         return
-    for c in m.children:
-        assert_well_formed(c)
     assert m.leaves == tuple(sorted(l for c in m.children for l in c.leaves))
     assert m.size == 1 + sum(c.size for c in m.children)
     minima = [c.min_leaf for c in m.children]
     assert minima == sorted(set(minima))
+
+
+def assert_well_formed(m):
+    """Every vertex of ``m`` is well formed."""
+    for c in m.children:
+        assert_well_formed(c)
+    assert_vertex_well_formed(m)
 
 
 def test_relabel_keeps_each_vertex_well_formed():
