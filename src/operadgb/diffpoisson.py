@@ -33,7 +33,6 @@ step asserted, once per context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
@@ -104,8 +103,7 @@ def app_footprint(app: App) -> frozenset:
     return frozenset(app[1:3])
 
 
-@dataclass(frozen=True)
-class Ambiguity:
+class Ambiguity(NamedTuple):
     """A monomial with two overlapping rule applications."""
 
     monomial: PMonomial

@@ -10,11 +10,10 @@ arithmetic throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .commutative import (
     Poly,
@@ -175,13 +174,32 @@ class GDTable:
         return cls(dim, circ, bracket)
 
 
-@dataclass
 class CheckReport:
     """Named verdicts, each failure with a witness; ``witness_label``
-    prefixes the witness in the text form."""
+    prefixes the witness in the text form.  Reports are equal when their
+    fields are, and, being mutable, unhashable."""
 
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
-    witness_label: str = ""
+    __slots__ = ("checks", "witness_label")
+
+    checks: list[tuple[str, bool, str]]
+    witness_label: str
+
+    def __init__(self, checks: list[tuple[str, bool, str]] | None = None,
+                 witness_label: str = "") -> None:
+        self.checks = [] if checks is None else checks
+        self.witness_label = witness_label
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.checks, self.witness_label) == \
+            (other.checks, other.witness_label)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"CheckReport(checks={self.checks!r}, "
+                f"witness_label={self.witness_label!r})")
 
     def record(self, name: str, ok: bool, witness: str = "") -> bool:
         self.checks.append((name, ok, witness))
@@ -229,8 +247,7 @@ def check_gd_axioms(t: GDTable) -> CheckReport:
     return report
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Outcome of the 2-dimensional case split."""
 
     case: str  # case1 | case2 | case3 | novikov | lie-only
@@ -321,32 +338,71 @@ def _coords_in(x: Vec, u: Vec, v: Vec) -> tuple[Fraction, Fraction]:
 # differential Poisson envelopes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class EnvelopeSpec:
     """A differential Poisson algebra presented by commutative relations, a
     bracket and a derivation on generators, plus an embedding map.  A
     bracket or derivative the spec does not give raises GDModelError rather
     than reading as zero; only {g, g} = 0 is implied.  The bracket is
     antisymmetric by construction: a spec that gives {a, b} and {b, a} as
-    anything but negatives, or a nonzero {g, g}, is rejected, and the
-    bracket is read-only afterwards (use ``dataclasses.replace``)."""
+    anything but negatives, or a nonzero {g, g}, is rejected.  A spec is
+    immutable and its bracket read-only, so a changed spec is constructed
+    anew from the fields, and checked again.  Specs are equal by their
+    fields and, like their brackets, unhashable."""
+
+    __slots__ = ("generators", "relations", "bracket", "derivation",
+                 "embedding", "name")
 
     generators: tuple
     relations: tuple[Poly, ...]
     bracket: Mapping[tuple, Poly]
     derivation: dict[object, Poly]
-    embedding: tuple[Poly, ...] = ()  # images of the GD-algebra basis
-    name: str = "envelope"
+    embedding: tuple[Poly, ...]  # images of the GD-algebra basis
+    name: str
 
-    def __post_init__(self) -> None:
-        for (g1, g2), value in self.bracket.items():
+    def __init__(self, generators: tuple, relations: tuple[Poly, ...],
+                 bracket: Mapping[tuple, Poly],
+                 derivation: dict[object, Poly],
+                 embedding: tuple[Poly, ...] = (),
+                 name: str = "envelope") -> None:
+        for (g1, g2), value in bracket.items():
             # (g, g) is its own reverse, so this also asks {g, g} = 0
-            if value + self.bracket.get((g2, g1), -value):
+            if value + bracket.get((g2, g1), -value):
                 raise GDModelError(
-                    f"{self.name}: bracket is not antisymmetric at "
+                    f"{name}: bracket is not antisymmetric at "
                     f"{{{g1}, {g2}}}")
-        object.__setattr__(self, "bracket",
-                           MappingProxyType(dict(self.bracket)))
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "bracket", MappingProxyType(dict(bracket)))
+        object.__setattr__(self, "derivation", derivation)
+        object.__setattr__(self, "embedding", embedding)
+        object.__setattr__(self, "name", name)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.generators, self.relations, self.bracket,
+                self.derivation, self.embedding, self.name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return EnvelopeSpec, (self.generators, self.relations,
+                              dict(self.bracket), self.derivation,
+                              self.embedding, self.name)
+
+    def __repr__(self) -> str:
+        return ("EnvelopeSpec(" + ", ".join(
+            f"{k}={v!r}" for k, v in zip(self.__slots__, self._key()))
+            + ")")
 
     def pair_bracket(self, g1, g2) -> Poly:
         if (g1, g2) in self.bracket:

@@ -32,12 +32,21 @@ lazily, so it is not safe to share between threads.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import chain
 from typing import Callable, Iterable, Sequence
+
+# SHA-256 from the interpreter's built-in module, the same function as
+# hashlib.sha256; importing hashlib would map OpenSSL into every process
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.11 and earlier
+    except ImportError:
+        from hashlib import sha256
 
 from .elements import (
     OperadElement,
@@ -370,8 +379,9 @@ _MAGIC_V1 = "operadgb-basis v1"
 def _checksum(header: list[str], rules: list[str]) -> str:
     """SHA-256 over the header lines before the checksum and the rules,
     joined by newlines, hashed a rule at a time.  The header is never
-    empty: it starts with the magic line."""
-    digest = hashlib.sha256("\n".join(header).encode())
+    empty: it starts with the magic line.  The digest is hashlib's, taken
+    from the interpreter's built-in module over the same bytes."""
+    digest = sha256("\n".join(header).encode())
     for line in rules:
         digest.update(f"\n{line}".encode())
     return digest.hexdigest()
@@ -439,6 +449,10 @@ def load_basis(path: str, validate: bool = True) -> GroebnerBasis:
             raise BasisFormatError(f"line {n}: text after the {count} rules")
     if _checksum(lines[:6], body_lines) != checksum:
         raise BasisFormatError("checksum mismatch: file corrupted")
+    if max_arity < 1:
+        # gb never writes one: a basis of no arity would claim nothing
+        raise BasisFormatError(
+            f"header field 'max_arity' must be positive, got {max_arity}")
     try:
         gens = parse_generators(gen_spec, 4,
                                 lines[3].index(gen_spec, len("generators:")) + 1)

@@ -10,14 +10,13 @@ where enumerate-and-filter over all monomials is not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groebner import BudgetExceededError, GroebnerBasis
 from .trees import Tree, leaf, vertices
 
 
-@dataclass(frozen=True)
-class DimensionTable:
+class DimensionTable(NamedTuple):
     """dim of each arity component, with provenance."""
 
     entries: dict[int, int]

@@ -23,7 +23,6 @@ conversion.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import Iterable
@@ -61,21 +60,49 @@ def term_variables(term: Term) -> set[int]:
     return va | vb
 
 
-@dataclass(frozen=True)
 class SymmetricRelation:
     """A multilinear identity in a symmetric operad, as a formal combination
-    of operation terms over variables 1..nvars."""
+    of operation terms over variables 1..nvars.  Immutable, and equal and
+    hashed by its fields."""
+
+    __slots__ = ("name", "nvars", "terms")
 
     name: str
     nvars: int
     terms: tuple[tuple[Fraction, Term], ...]
 
-    def __post_init__(self) -> None:
-        want = set(range(1, self.nvars + 1))
-        for _c, t in self.terms:
+    def __init__(self, name: str, nvars: int,
+                 terms: tuple[tuple[Fraction, Term], ...]) -> None:
+        want = set(range(1, nvars + 1))
+        for _c, t in terms:
             if term_variables(t) != want:
                 raise TreeError(
-                    f"{self.name}: every term must use variables 1..{self.nvars}")
+                    f"{name}: every term must use variables 1..{nvars}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.nvars, self.terms) == \
+            (other.name, other.nvars, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.nvars, self.terms))
+
+    def __reduce__(self):
+        return SymmetricRelation, (self.name, self.nvars, self.terms)
+
+    def __repr__(self) -> str:
+        return (f"SymmetricRelation(name={self.name!r}, "
+                f"nvars={self.nvars!r}, terms={self.terms!r})")
 
     @classmethod
     def of(cls, name: str, nvars: int,
@@ -193,23 +220,52 @@ def symmetric_to_shuffle(rel: SymmetricRelation) -> list[OperadElement]:
 # presentations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Presentation:
-    """Generators and shuffle relations defining an operad quotient."""
+    """Generators and shuffle relations defining an operad quotient.
+    Immutable, and equal and hashed by its fields."""
+
+    __slots__ = ("name", "generators", "relations")
 
     name: str
     generators: tuple[GeneratorSymbol, ...]
     relations: tuple[OperadElement, ...]
 
-    def __post_init__(self) -> None:
-        names = [g.name for g in self.generators]
+    def __init__(self, name: str, generators: tuple[GeneratorSymbol, ...],
+                 relations: tuple[OperadElement, ...]) -> None:
+        names = [g.name for g in generators]
         if len(set(names)) != len(names):
-            raise TreeError(f"{self.name}: duplicate generator names")
-        for rel in self.relations:
+            raise TreeError(f"{name}: duplicate generator names")
+        for rel in relations:
             if rel.is_zero():
-                raise TreeError(f"{self.name}: zero relation")
+                raise TreeError(f"{name}: zero relation")
             if rel.arity < 2:
-                raise TreeError(f"{self.name}: relations must have arity >= 2")
+                raise TreeError(f"{name}: relations must have arity >= 2")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relations", relations)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.generators, self.relations) == \
+            (other.name, other.generators, other.relations)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.generators, self.relations))
+
+    def __reduce__(self):
+        return Presentation, (self.name, self.generators, self.relations)
+
+    def __repr__(self) -> str:
+        return (f"Presentation(name={self.name!r}, "
+                f"generators={self.generators!r}, "
+                f"relations={self.relations!r})")
 
     @property
     def gen_names(self) -> tuple[str, ...]:

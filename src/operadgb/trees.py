@@ -17,7 +17,6 @@ are not synchronized, so they are not safe to build from several threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations, product
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -26,19 +25,43 @@ class TreeError(ValueError):
     """Malformed tree monomial (bad labels, arity, or shuffle condition)."""
 
 
-@dataclass(frozen=True)
 class GeneratorSymbol:
     """A named operad generator of fixed arity, at least 2: a unary one
-    would make every component infinite-dimensional."""
+    would make every component infinite-dimensional.  Immutable, and equal
+    and hashed by name and arity."""
+
+    __slots__ = ("name", "arity")
 
     name: str
     arity: int
 
-    def __post_init__(self) -> None:
-        if not self.name or not self.name[0].isalpha():
-            raise TreeError(f"bad generator name {self.name!r}")
-        if self.arity < 2:
-            raise TreeError(f"generator {self.name}: arity must be >= 2")
+    def __init__(self, name: str, arity: int) -> None:
+        if not name or not name[0].isalpha():
+            raise TreeError(f"bad generator name {name!r}")
+        if arity < 2:
+            raise TreeError(f"generator {name}: arity must be >= 2")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "arity", arity)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.arity) == (other.name, other.arity)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.arity))
+
+    def __reduce__(self):
+        return GeneratorSymbol, (self.name, self.arity)
+
+    def __repr__(self) -> str:
+        return f"GeneratorSymbol(name={self.name!r}, arity={self.arity!r})"
 
     def __str__(self) -> str:
         return f"{self.name}/{self.arity}"
@@ -403,16 +426,18 @@ def min_increasing_blocks(labels: Sequence[int],
     yield from rec(labels, tuple(sizes))
 
 
-@dataclass(frozen=True)
 class ShufflePartition:
-    """Ordered disjoint blocks covering 1..n with strictly increasing minima."""
+    """Ordered disjoint blocks covering 1..n with strictly increasing
+    minima.  Immutable, and equal and hashed by its blocks."""
+
+    __slots__ = ("blocks",)
 
     blocks: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, blocks: tuple[tuple[int, ...], ...]) -> None:
         seen: set[int] = set()
         prev_min = 0
-        for b in self.blocks:
+        for b in blocks:
             if not b:
                 raise TreeError("empty block in shuffle partition")
             if min(b) <= prev_min:
@@ -425,6 +450,27 @@ class ShufflePartition:
         n = len(seen)
         if seen != set(range(1, n + 1)):
             raise TreeError("blocks must cover 1..n exactly")
+        object.__setattr__(self, "blocks", blocks)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.blocks == other.blocks
+
+    def __hash__(self) -> int:
+        return hash((self.blocks,))
+
+    def __reduce__(self):
+        return ShufflePartition, (self.blocks,)
+
+    def __repr__(self) -> str:
+        return f"ShufflePartition(blocks={self.blocks!r})"
 
     @property
     def total(self) -> int:

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -237,6 +241,21 @@ def test_dims_reports_a_bad_header_field(field, value, tmp_path, capsys):
     code, _out, err = run(["dims", "--basis", str(path)], capsys)
     assert code == 1
     assert err.startswith("error: ") and field in err and "Traceback" not in err
+
+
+def test_dims_refuses_a_basis_that_claims_no_arity(tmp_path, capsys):
+    """A header ``max_arity: 0``, under a checksum that matches it, claims
+    no arity at all, so it is refused rather than read as an empty table;
+    ``gb`` does not write one."""
+    path = tmp_path / "gd3.basis"
+    assert run(["gb", "--preset", "gd", "--max-arity", "3", "-o", str(path)],
+               capsys)[0] == 0
+    lines = path.read_text().splitlines()
+    lines[4] = "max_arity: 0"
+    lines[6] = f"checksum: {_checksum(lines[:6], lines[7:])}"
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["dims", "--basis", str(path)], capsys) == (
+        1, "", "error: header field 'max_arity' must be positive, got 0\n")
 
 
 def _rule_edits(lines):
@@ -542,3 +561,42 @@ def test_check_gd_golden(name, tmp_path, capsys):
     path.write_text(table)
     code, out, _ = run(["check-gd", str(path)], capsys)
     assert (code, out) == (want_code, want_out)
+
+
+# every kind of command in one fresh interpreter; the last line printed is
+# the exit codes and the heavy modules the commands left loaded
+FOOTPRINT_SCRIPT = """
+import sys
+from operadgb.cli import main
+from operadgb.gdmodels import case3_table
+with open("case1.gd", "w") as fh:
+    fh.write("dim 2\\ncirc 1 1 = 1 0\\ncirc 1 2 = 0 2\\ncirc 2 1 = 0 1\\n"
+             "bracket 1 2 = 0 1\\n")
+with open("case3.gd", "w") as fh:
+    fh.write(case3_table().format())
+codes = [main(argv.split()) for argv in (
+    "gb --preset gd --max-arity 4 -o gd4.basis",
+    "dims --basis gd4.basis",
+    "reduce --basis gd4.basis --identity spec1",
+    "ambiguities --degree 4 --modulo gd",
+    "check-gd case1.gd",
+    "check-gd case3.gd")]
+print(codes, [m for m in ("_hashlib", "_ssl", "inspect", "dataclasses")
+              if m in sys.modules])
+"""
+
+
+def test_commands_load_neither_openssl_nor_dataclasses(tmp_path):
+    """The basis checksum comes from the interpreter's built-in SHA-256 and
+    the record classes are written out, so no command maps OpenSSL through
+    ``hashlib`` or loads ``inspect`` through ``dataclasses``.  With CPython
+    3.11 on Linux they add about 3 MB and 0.9 MB to every process's peak
+    RSS."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 3, 0, 0, 0] []"

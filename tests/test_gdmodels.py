@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -213,9 +212,13 @@ def _perturbed(env):
     for g in dict.fromkeys((env.generators[0], env.generators[-1])):
         plus = Poly.var(g)
         for k, value in env.bracket.items():
-            yield replace(env, bracket={**env.bracket, k: value + plus})
+            yield EnvelopeSpec(env.generators, env.relations,
+                               {**env.bracket, k: value + plus},
+                               env.derivation, env.embedding, env.name)
         for k, value in env.derivation.items():
-            yield replace(env, derivation={**env.derivation, k: value + plus})
+            yield EnvelopeSpec(env.generators, env.relations, env.bracket,
+                               {**env.derivation, k: value + plus},
+                               env.embedding, env.name)
 
 
 # each envelope with the checks that some perturbation of it breaks
@@ -280,8 +283,10 @@ def test_case3_derivation_closed_form():
 
 def test_corrupted_case3_bracket_detected():
     env = case3_envelope()
-    env = replace(env, bracket={**env.bracket,
-                                ("u", "v'"): Poly.var("v'")})  # should be 2v'
+    env = EnvelopeSpec(env.generators, env.relations,
+                       {**env.bracket,
+                        ("u", "v'"): Poly.var("v'")},  # should be 2v'
+                       env.derivation, env.embedding, env.name)
     rep = CheckReport()
     assert not verify_embedding(case3_table(), env, rep)
     failing = {n for n, ok, _ in rep.checks if not ok}

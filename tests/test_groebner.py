@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from operadgb.groebner import (
     BudgetExceededError,
     RewriteRule,
     _Reducer,
+    _checksum,
     _echelon,
     _spoly,
     _stratum_spolys,
@@ -252,6 +254,18 @@ def test_load_save_is_byte_identical(name, tmp_path, request):
     save_basis(basis, str(path))
     save_basis(load_basis(str(path)), str(again))
     assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["gd5", "wsgd5"])
+def test_checksum_is_hashlib_sha256(name, tmp_path, request):
+    """The saved checksum is hashlib's SHA-256 of the header lines before
+    it and the rules, joined by newlines, whichever module supplies it."""
+    path = tmp_path / "saved.basis"
+    save_basis(request.getfixturevalue(name), str(path))
+    lines = path.read_text().splitlines()
+    want = hashlib.sha256("\n".join(lines[:6] + lines[7:]).encode())
+    assert _checksum(lines[:6], lines[7:]) == want.hexdigest()
+    assert lines[6] == f"checksum: {want.hexdigest()}"
 
 
 @pytest.mark.parametrize("name", FIXTURES)

@@ -2,9 +2,13 @@
 relation lists for the Novikov, Lie, Gelfand-Dorfman and weak-special
 operads."""
 
+import copy
+import pickle
+
 import pytest
 
 from operadgb.elements import OperadElement
+from operadgb.gdmodels import CheckReport, case3_envelope
 from operadgb.presentation import (
     JACOBI,
     LEFT_SYMMETRY,
@@ -22,7 +26,7 @@ from operadgb.syntax import (
     parse_element,
     parse_monomial,
 )
-from operadgb.trees import GeneratorSymbol
+from operadgb.trees import GeneratorSymbol, ShufflePartition
 
 from oracles import (
     consequence_pivots,
@@ -261,6 +265,26 @@ def test_generators_lines_add_up():
     p = parse_presentation("operad p\ngenerators x/2\ngenerators y/2\n"
                            "relations:\nx(x(1 2) 3) - y(1 y(2 3))\n")
     assert p.gen_names == ("x", "y")
+
+
+def test_records_are_immutable_values():
+    """The checked records refuse assignment, and their copies and pickles
+    are equal to them, rebuilt through the checking constructors."""
+    records = [(GeneratorSymbol("x", 2), "arity"),
+               (ShufflePartition(((1, 3), (2,))), "blocks"),
+               (LEFT_SYMMETRY, "terms"),
+               (builtin_presentations()["gd"], "relations"),
+               (case3_envelope(), "bracket")]
+    for record, field in records:
+        with pytest.raises(AttributeError, match=f"field '{field}'"):
+            setattr(record, field, None)
+        for again in (copy.copy(record), copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
+            assert again == record and type(again) is type(record)
+    assert repr(records[0][0]) == "GeneratorSymbol(name='x', arity=2)"
+    assert repr(records[1][0]) == "ShufflePartition(blocks=((1, 3), (2,)))"
+    assert repr(CheckReport([("c", False, "w")], "at ")) == \
+        "CheckReport(checks=[('c', False, 'w')], witness_label='at ')"
 
 
 def test_presentation_errors():
