@@ -15,9 +15,7 @@ from .trees import (
     Tree,
     TreeError,
     TreeOrder,
-    arity,
     all_trees,
-    find_occurrences,
     leaf,
     node,
     order_for,
@@ -26,21 +24,20 @@ from .elements import OperadElement, graft_at, shuffle_compose
 from .syntax import ParseError, format_element, parse_element, parse_monomial
 from .presentation import Presentation, SymmetricRelation, builtin_presentations, parse_presentation, symmetric_to_shuffle
 from .groebner import GroebnerBasis, RewriteRule, buchberger, load_basis, reduce_element, save_basis
-from .hilbert import DimensionTable, count_normal_monomials, emit_table
+from .hilbert import DimensionTable, emit_table
 from .diffpoisson import Ambiguity, RewriteContext
 from .gdmodels import EnvelopeSpec, GDTable, bracket1_check, check_gd_axioms, classify_2dim, verify_embedding
 
 __all__ = [
     "GeneratorSymbol", "Occurrence", "ShufflePartition", "Tree", "TreeError",
-    "TreeOrder", "arity", "all_trees", "find_occurrences",
-    "leaf", "node", "order_for",
+    "TreeOrder", "all_trees", "leaf", "node", "order_for",
     "OperadElement", "graft_at", "shuffle_compose",
     "ParseError", "format_element", "parse_element", "parse_monomial",
     "Presentation", "SymmetricRelation", "builtin_presentations",
     "parse_presentation", "symmetric_to_shuffle",
     "GroebnerBasis", "RewriteRule", "buchberger", "load_basis",
     "reduce_element", "save_basis",
-    "DimensionTable", "count_normal_monomials", "emit_table",
+    "DimensionTable", "emit_table",
     "Ambiguity", "RewriteContext",
     "EnvelopeSpec", "GDTable", "bracket1_check", "check_gd_axioms",
     "classify_2dim", "verify_embedding",

@@ -153,6 +153,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             lines = [l.split("#", 1)[0].strip() for l in fh.read().splitlines()]
         elems = [parse_element(l, basis.generators, line=i + 1)
                  for i, l in enumerate(lines) if l]
+        if not elems:
+            # reducing nothing would read as membership of everything
+            raise UsageError(f"{args.input_path}: no elements to reduce")
         label = args.input_path
     all_zero = True
     for i, e in enumerate(elems):

@@ -34,6 +34,7 @@ from .presentation import (
     SymmetricRelation,
     Term,
 )
+from .trees import Record
 
 
 class GDModelError(ValueError):
@@ -174,10 +175,10 @@ class GDTable:
         return cls(dim, circ, bracket)
 
 
-class CheckReport:
+class CheckReport(Record):
     """Named verdicts, each failure with a witness; ``witness_label``
-    prefixes the witness in the text form.  Reports are equal when their
-    fields are, and, being mutable, unhashable."""
+    prefixes the witness in the text form.  ``record`` appends to the
+    list of checks, so reports are unhashable."""
 
     __slots__ = ("checks", "witness_label")
 
@@ -186,20 +187,9 @@ class CheckReport:
 
     def __init__(self, checks: list[tuple[str, bool, str]] | None = None,
                  witness_label: str = "") -> None:
-        self.checks = [] if checks is None else checks
-        self.witness_label = witness_label
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.checks, self.witness_label) == \
-            (other.checks, other.witness_label)
+        super().__init__([] if checks is None else checks, witness_label)
 
     __hash__ = None
-
-    def __repr__(self) -> str:
-        return (f"CheckReport(checks={self.checks!r}, "
-                f"witness_label={self.witness_label!r})")
 
     def record(self, name: str, ok: bool, witness: str = "") -> bool:
         self.checks.append((name, ok, witness))
@@ -338,7 +328,7 @@ def _coords_in(x: Vec, u: Vec, v: Vec) -> tuple[Fraction, Fraction]:
 # differential Poisson envelopes
 # ---------------------------------------------------------------------------
 
-class EnvelopeSpec:
+class EnvelopeSpec(Record):
     """A differential Poisson algebra presented by commutative relations, a
     bracket and a derivation on generators, plus an embedding map.  A
     bracket or derivative the spec does not give raises GDModelError rather
@@ -346,8 +336,8 @@ class EnvelopeSpec:
     antisymmetric by construction: a spec that gives {a, b} and {b, a} as
     anything but negatives, or a nonzero {g, g}, is rejected.  A spec is
     immutable and its bracket read-only, so a changed spec is constructed
-    anew from the fields, and checked again.  Specs are equal by their
-    fields and, like their brackets, unhashable."""
+    anew from the fields, and checked again.  Like their brackets, specs
+    are unhashable."""
 
     __slots__ = ("generators", "relations", "bracket", "derivation",
                  "embedding", "name")
@@ -370,39 +360,17 @@ class EnvelopeSpec:
                 raise GDModelError(
                     f"{name}: bracket is not antisymmetric at "
                     f"{{{g1}, {g2}}}")
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "bracket", MappingProxyType(dict(bracket)))
-        object.__setattr__(self, "derivation", derivation)
-        object.__setattr__(self, "embedding", embedding)
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.generators, self.relations, self.bracket,
-                self.derivation, self.embedding, self.name)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+        super().__init__(generators, relations,
+                         MappingProxyType(dict(bracket)), derivation,
+                         embedding, name)
 
     __hash__ = None
 
     def __reduce__(self):
+        # a mappingproxy does not pickle: hand the bracket back as a dict
         return EnvelopeSpec, (self.generators, self.relations,
                               dict(self.bracket), self.derivation,
                               self.embedding, self.name)
-
-    def __repr__(self) -> str:
-        return ("EnvelopeSpec(" + ", ".join(
-            f"{k}={v!r}" for k, v in zip(self.__slots__, self._key()))
-            + ")")
 
     def pair_bracket(self, g1, g2) -> Poly:
         if (g1, g2) in self.bracket:

@@ -458,6 +458,10 @@ def load_basis(path: str, validate: bool = True) -> GroebnerBasis:
                                 lines[3].index(gen_spec, len("generators:")) + 1)
     except ValueError as exc:
         raise BasisFormatError(f"bad header field 'generators': {exc}") from None
+    try:
+        order = order_for(order_id, [g.name for g in gens])
+    except TreeError as exc:
+        raise BasisFormatError(f"bad header field 'order': {exc}") from None
     rules: list[RewriteRule] = []
     for i, line in enumerate(body_lines):
         try:
@@ -467,14 +471,20 @@ def load_basis(path: str, validate: bool = True) -> GroebnerBasis:
             if arity_str != str(lead.arity):
                 raise ValueError(f"arity field {arity_str!r}, but the lead "
                                  f"has arity {lead.arity}")
+            if lead.arity > max_arity:
+                raise ValueError(f"arity {lead.arity} exceeds max_arity "
+                                 f"{max_arity}")
             if tail_str.strip() == "0":
                 tail = OperadElement.zero(lead.arity)
             else:
                 tail = parse_element(tail_str, gens)
             rules.append(RewriteRule(lead, tail, i))
+            for m in tail.terms:
+                if not order.below(m, lead):
+                    raise ValueError(f"tail monomial {m} is not below the "
+                                     f"lead under {order_id}")
         except (ValueError, TreeError) as exc:
             raise BasisFormatError(f"bad rule line {i + 1}: {exc}") from None
-    order = order_for(order_id, [g.name for g in gens])
     basis = GroebnerBasis(pres_name, gens, order, max_arity, rules)
     if validate:
         validate_interreduced(basis)

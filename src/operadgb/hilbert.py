@@ -57,6 +57,7 @@ class NormalMonomials:
         return result
 
     def count(self, n: int) -> int:
+        """Number of normal arity-n monomials: the dimension at arity n."""
         return len(self.level(n))
 
 
@@ -65,12 +66,6 @@ def _check_completed(basis: GroebnerBasis, n: int,
                      ) -> None:
     if n > basis.max_arity:
         raise BudgetExceededError(message.format(n=n, top=basis.max_arity))
-
-
-def count_normal_monomials(basis: GroebnerBasis, n: int) -> int:
-    """Number of arity-n monomials with no divisor among the rule leads;
-    equals the dimension of the operad component at arity n."""
-    return NormalMonomials(basis).count(n)
 
 
 def emit_table(basis: GroebnerBasis, up_to: int) -> DimensionTable:

@@ -29,7 +29,7 @@ from typing import Iterable
 
 from .elements import OperadElement, add_term
 from .syntax import ParseError, parse_element, parse_generators
-from .trees import GeneratorSymbol, Tree, TreeError, TreeOrder, leaf, node, order_for
+from .trees import GeneratorSymbol, Record, Tree, TreeError, TreeOrder, leaf, node, order_for
 
 # A symbolic multilinear term: either a variable index (int) or a tuple
 # (op_name, left_term, right_term) over binary operation symbols;
@@ -60,10 +60,9 @@ def term_variables(term: Term) -> set[int]:
     return va | vb
 
 
-class SymmetricRelation:
+class SymmetricRelation(Record):
     """A multilinear identity in a symmetric operad, as a formal combination
-    of operation terms over variables 1..nvars.  Immutable, and equal and
-    hashed by its fields."""
+    of operation terms over variables 1..nvars."""
 
     __slots__ = ("name", "nvars", "terms")
 
@@ -78,31 +77,7 @@ class SymmetricRelation:
             if term_variables(t) != want:
                 raise TreeError(
                     f"{name}: every term must use variables 1..{nvars}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.nvars, self.terms) == \
-            (other.name, other.nvars, other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.nvars, self.terms))
-
-    def __reduce__(self):
-        return SymmetricRelation, (self.name, self.nvars, self.terms)
-
-    def __repr__(self) -> str:
-        return (f"SymmetricRelation(name={self.name!r}, "
-                f"nvars={self.nvars!r}, terms={self.terms!r})")
+        super().__init__(name, nvars, terms)
 
     @classmethod
     def of(cls, name: str, nvars: int,
@@ -220,9 +195,8 @@ def symmetric_to_shuffle(rel: SymmetricRelation) -> list[OperadElement]:
 # presentations
 # ---------------------------------------------------------------------------
 
-class Presentation:
-    """Generators and shuffle relations defining an operad quotient.
-    Immutable, and equal and hashed by its fields."""
+class Presentation(Record):
+    """Generators and shuffle relations defining an operad quotient."""
 
     __slots__ = ("name", "generators", "relations")
 
@@ -240,32 +214,7 @@ class Presentation:
                 raise TreeError(f"{name}: zero relation")
             if rel.arity < 2:
                 raise TreeError(f"{name}: relations must have arity >= 2")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relations", relations)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.generators, self.relations) == \
-            (other.name, other.generators, other.relations)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.generators, self.relations))
-
-    def __reduce__(self):
-        return Presentation, (self.name, self.generators, self.relations)
-
-    def __repr__(self) -> str:
-        return (f"Presentation(name={self.name!r}, "
-                f"generators={self.generators!r}, "
-                f"relations={self.relations!r})")
+        super().__init__(name, generators, relations)
 
     @property
     def gen_names(self) -> tuple[str, ...]:

@@ -25,10 +25,46 @@ class TreeError(ValueError):
     """Malformed tree monomial (bad labels, arity, or shuffle condition)."""
 
 
-class GeneratorSymbol:
+class Record:
+    """Immutable value record whose fields are its class's ``__slots__``.
+    A subclass checks its arguments, then hands them to ``Record.__init__``.
+    Records are equal when class and fields are, hash as their field tuple,
+    and are copied and pickled back through the checking constructor."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
+
+
+class GeneratorSymbol(Record):
     """A named operad generator of fixed arity, at least 2: a unary one
-    would make every component infinite-dimensional.  Immutable, and equal
-    and hashed by name and arity."""
+    would make every component infinite-dimensional."""
 
     __slots__ = ("name", "arity")
 
@@ -40,28 +76,7 @@ class GeneratorSymbol:
             raise TreeError(f"bad generator name {name!r}")
         if arity < 2:
             raise TreeError(f"generator {name}: arity must be >= 2")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "arity", arity)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.arity) == (other.name, other.arity)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.arity))
-
-    def __reduce__(self):
-        return GeneratorSymbol, (self.name, self.arity)
-
-    def __repr__(self) -> str:
-        return f"GeneratorSymbol(name={self.name!r}, arity={self.arity!r})"
+        super().__init__(name, arity)
 
     def __str__(self) -> str:
         return f"{self.name}/{self.arity}"
@@ -192,11 +207,6 @@ def _sorted_distinct(labels: list[int]) -> tuple[int, ...]:
     return tuple(labels)
 
 
-def arity(t: Tree) -> int:
-    """Number of leaves of a tree monomial."""
-    return t.arity
-
-
 def is_complete(t: Tree) -> bool:
     """True when the leaf labels are exactly 1..arity."""
     return t.leaves == tuple(range(1, t.arity + 1))
@@ -241,6 +251,26 @@ class TreeOrder:
             k = (t.size, tuple((len(words[l]), words[l]) for l in t.leaves))
             self._keys[t] = k
         return k
+
+    def below(self, a: Tree, b: Tree) -> bool:
+        """``key(a) < key(b)``, decided leaf by leaf without keeping keys."""
+        if a.size != b.size:
+            return a.size < b.size
+        for la, lb in zip(a.leaves, b.leaves):
+            wa, wb = self._word(a, la), self._word(b, lb)
+            if wa != wb:
+                return (len(wa), wa) < (len(wb), wb)
+        return False
+
+    def _word(self, t: Tree, label: int) -> list[tuple[int, int]]:
+        word = []
+        while t.gen is not None:
+            i = 0
+            while label not in t.children[i].leaves:
+                i += 1
+            word.append((self._rank[t.gen], i))
+            t = t.children[i]
+        return word
 
     def _collect(self, t: Tree, prefix: tuple, out: dict[int, tuple]) -> None:
         if t.is_leaf:
@@ -321,18 +351,6 @@ def occurrence_at(pattern: Tree, host: Tree, path: tuple[int, ...]) -> Occurrenc
         prev = s.min_leaf
         ordered.append(s)
     return Occurrence(path, tuple(ordered))
-
-
-def find_occurrences(pattern: Tree, host: Tree) -> list[Occurrence]:
-    """Every embedding of ``pattern`` as a divisor of ``host``."""
-    if pattern.is_leaf:
-        raise TreeError("pattern must have at least one internal vertex")
-    out: list[Occurrence] = []
-    for path in iter_positions(host):
-        occ = occurrence_at(pattern, host, path)
-        if occ is not None:
-            out.append(occ)
-    return out
 
 
 def iter_positions(t: Tree, prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
@@ -426,9 +444,9 @@ def min_increasing_blocks(labels: Sequence[int],
     yield from rec(labels, tuple(sizes))
 
 
-class ShufflePartition:
+class ShufflePartition(Record):
     """Ordered disjoint blocks covering 1..n with strictly increasing
-    minima.  Immutable, and equal and hashed by its blocks."""
+    minima."""
 
     __slots__ = ("blocks",)
 
@@ -450,27 +468,7 @@ class ShufflePartition:
         n = len(seen)
         if seen != set(range(1, n + 1)):
             raise TreeError("blocks must cover 1..n exactly")
-        object.__setattr__(self, "blocks", blocks)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.blocks == other.blocks
-
-    def __hash__(self) -> int:
-        return hash((self.blocks,))
-
-    def __reduce__(self):
-        return ShufflePartition, (self.blocks,)
-
-    def __repr__(self) -> str:
-        return f"ShufflePartition(blocks={self.blocks!r})"
+        super().__init__(blocks)
 
     @property
     def total(self) -> int:

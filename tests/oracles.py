@@ -6,7 +6,8 @@ exact Gaussian elimination over the full monomial basis of each arity.
 ``labelled_trees`` enumerates shuffle trees without the enumerator of
 ``trees``: every planar tree over the generators, its leaves labelled in
 every order, kept where the checked ``node`` accepts the labelling.
-Overlaps are found by scanning each of those monomials that has a lead at
+``find_occurrences`` finds every divisor occurrence by trying the
+pattern at each vertex of the host.  Overlaps are found by scanning each of those monomials that has a lead at
 its root for a second lead; the scan uses the reducer's lead index, which
 ``test_groebner`` checks against trying every rule at every position.
 Differential Poisson normal forms are recomputed by a greatest-first
@@ -56,6 +57,7 @@ from operadgb.groebner import reduce_element
 from operadgb.presentation import Presentation, element_orbit
 from operadgb.syntax import ParseError
 from operadgb.trees import (
+    Occurrence,
     ShufflePartition,
     Tree,
     TreeError,
@@ -66,6 +68,7 @@ from operadgb.trees import (
     leaf,
     min_increasing_blocks,
     node,
+    occurrence_at,
 )
 
 
@@ -262,6 +265,14 @@ def rank_kept_residues(residues, basis) -> list[int]:
             rows += [reduce_element(img, basis).terms
                      for img in element_orbit(res)]
     return kept
+
+
+def find_occurrences(pattern: Tree, host: Tree) -> list[Occurrence]:
+    """Every embedding of ``pattern`` as a divisor of ``host``."""
+    if pattern.is_leaf:
+        raise TreeError("pattern must have at least one internal vertex")
+    return [occ for path in iter_positions(host)
+            if (occ := occurrence_at(pattern, host, path)) is not None]
 
 
 def covered(pattern, occ) -> set:

@@ -37,7 +37,7 @@ from operadgb.groebner import (
     reduce_random,
     save_basis,
 )
-from operadgb.hilbert import count_normal_monomials
+from operadgb.hilbert import NormalMonomials
 from operadgb.presentation import (
     JACOBI,
     LEFT_SYMMETRY,
@@ -86,7 +86,7 @@ def report(line: str) -> None:
 
 def test_criterion_1_gd_dimension_table(gd5):
     """dim GD(n) = 1, 3, 17, 140, 1524 for n = 1..5, exactly."""
-    dims = [count_normal_monomials(gd5, n) for n in range(1, 6)]
+    dims = [NormalMonomials(gd5).count(n) for n in range(1, 6)]
     assert dims == [1, 3, 17, 140, 1524]
     report("1: dim GD(1..5) = 1, 3, 17, 140, 1524  PASS")
 
@@ -102,7 +102,7 @@ def basis_sha256(basis, tmp_path) -> str:
 def test_criterion_1_extended_gd_dimension_6(tmp_path):
     basis = buchberger(BUILTINS["gd"], 6)
     assert basis.rule_counts()[6] == 247
-    assert count_normal_monomials(basis, 6) == 20699
+    assert NormalMonomials(basis).count(6) == 20699
     assert basis_sha256(basis, tmp_path) == \
         "8f17e0b2eaaae731c324e189c39e3bf14f43b75dbd67de00b006a76e3345b5ee"
     report("1 (extended): 247 rules at arity 6, dim GD(6) = 20699  PASS")
@@ -110,7 +110,7 @@ def test_criterion_1_extended_gd_dimension_6(tmp_path):
 
 def test_criterion_2_wsgd_dimension_table(wsgd5):
     """dim wSGD(n) = 1, 3, 17, 130, 1219 for n = 1..5, exactly."""
-    dims = [count_normal_monomials(wsgd5, n) for n in range(1, 6)]
+    dims = [NormalMonomials(wsgd5).count(n) for n in range(1, 6)]
     assert dims == [1, 3, 17, 130, 1219]
     report("2: dim wSGD(1..5) = 1, 3, 17, 130, 1219  PASS")
 
@@ -119,7 +119,7 @@ def test_criterion_2_wsgd_dimension_table(wsgd5):
 def test_criterion_2_extended_wsgd_dimension_6(tmp_path):
     basis = buchberger(BUILTINS["wsgd"], 6)
     assert basis.rule_counts()[6] == 662
-    assert count_normal_monomials(basis, 6) == 13412
+    assert NormalMonomials(basis).count(6) == 13412
     assert basis_sha256(basis, tmp_path) == \
         "8e8e42516edfe49384365ceef4d66d52100de0bcfe4d9fcdf49e50fc164b124e"
     report("2 (extended): 662 rules at arity 6, dim wSGD(6) = 13412  PASS")
@@ -155,11 +155,11 @@ def test_criterion_4_oracle_equivalence():
         p = BUILTINS[name]
         basis = buchberger(p, 4)
         for n in range(1, 5):
-            assert count_normal_monomials(basis, n) == \
+            assert NormalMonomials(basis).count(n) == \
                 quotient_dimension(p, n), (name, n)
     lie6 = buchberger(BUILTINS["lie"], 6)
     for n in range(1, 7):
-        assert count_normal_monomials(lie6, n) == _lyndon_count(n)
+        assert NormalMonomials(lie6).count(n) == _lyndon_count(n)
     report("4: oracle equivalence (lie, novikov, gd at n<=4; "
            "Lie = (n-1)! for n<=6)  PASS")
 

@@ -258,23 +258,39 @@ def test_dims_refuses_a_basis_that_claims_no_arity(tmp_path, capsys):
         1, "", "error: header field 'max_arity' must be positive, got 0\n")
 
 
+def _vouched(lines):
+    """``lines`` under the checksum that matches them."""
+    lines[6] = f"checksum: {_checksum(lines[:6], lines[7:])}"
+    return lines
+
+
 def _rule_edits(lines):
     """A gd 3 basis with a wrong arity field under a checksum that matches
     it, and with a rule line after the counted ones, which the checksum
     does not cover, and with a rule whose tail has a smaller arity than
-    its lead under a checksum that matches it."""
-    arity = lines[:7] + ["9" + lines[7][1:]] + lines[8:]
-    arity[6] = f"checksum: {_checksum(arity[:6], arity[7:])}"
-    tail = lines[:7] + [lines[7].split(" => ")[0] + " => x(1 2)"] + lines[8:]
-    tail[6] = f"checksum: {_checksum(tail[:6], tail[7:])}"
+    its lead under a checksum that matches it.  Also, under matching
+    checksums, the basis with a header ``max_arity: 2`` below its rules,
+    and a one-rule basis whose tail is above its lead under ``pathlex``."""
+    arity = _vouched(lines[:7] + ["9" + lines[7][1:]] + lines[8:])
+    tail = _vouched(lines[:7] + [lines[7].split(" => ")[0] + " => x(1 2)"]
+                    + lines[8:])
+    over = _vouched(lines[:4] + ["max_arity: 2"] + lines[5:])
+    upward = _vouched(lines[:5] + ["rules: 1", "",
+                                   "3 x(1 x(2 3)) => 1*x(x(1 2) 3)"])
     return {"arity-field": (arity, "bad rule line 1: arity field '9'"),
             "trailing-rule": (lines + [lines[7]],
                               f"line {len(lines) + 1}: text after the"),
-            "tail-arity": (tail, "bad rule line 1: rule tail arity differs")}
+            "tail-arity": (tail, "bad rule line 1: rule tail arity differs"),
+            "over-max-arity": (over, "bad rule line 1: arity 3 exceeds "
+                                     "max_arity 2\n"),
+            "tail-above-lead": (upward, "bad rule line 1: tail monomial "
+                                        "x(x(1 2) 3) is not below the lead "
+                                        "under pathlex\n")}
 
 
 @pytest.mark.parametrize("case", ["arity-field", "trailing-rule",
-                                  "tail-arity"])
+                                  "tail-arity", "over-max-arity",
+                                  "tail-above-lead"])
 def test_dims_rejects_a_rule_line_the_checksum_does_not_vouch_for(
         case, tmp_path, capsys):
     path = tmp_path / "gd3.basis"
@@ -285,6 +301,17 @@ def test_dims_rejects_a_rule_line_the_checksum_does_not_vouch_for(
     code, out, err = run(["dims", "--basis", str(path)], capsys)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {message}")
+
+
+def test_reduce_refuses_an_input_with_no_elements(tmp_path, capsys):
+    """A file of blanks and comments holds nothing to reduce; it printed
+    nothing and exited 0, which reads as membership success."""
+    basis, elems = tmp_path / "gd3.basis", tmp_path / "empty.txt"
+    assert run(["gb", "--preset", "gd", "--max-arity", "3", "-o", str(basis)],
+               capsys)[0] == 0
+    elems.write_text("\n# nothing here\n   \n")
+    assert run(["reduce", "--basis", str(basis), "--input", str(elems)],
+               capsys) == (1, "", f"error: {elems}: no elements to reduce\n")
 
 
 def test_dims_rejects_a_negative_up_to(tmp_path, capsys):

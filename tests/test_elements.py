@@ -18,11 +18,12 @@ from operadgb.trees import (
     GeneratorSymbol,
     ShufflePartition,
     all_trees,
-    find_occurrences,
     leaf,
     node,
     order_for,
 )
+
+from oracles import find_occurrences
 
 GENS = (GeneratorSymbol("x", 2), GeneratorSymbol("y", 2), GeneratorSymbol("z", 2))
 ORDER = order_for("pathlex", ("x", "y", "z"))

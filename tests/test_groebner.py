@@ -22,13 +22,12 @@ from operadgb.groebner import (
     save_basis,
     validate_interreduced,
 )
-from operadgb.hilbert import NormalMonomials, count_normal_monomials, emit_table
+from operadgb.hilbert import NormalMonomials, emit_table
 from operadgb.presentation import builtin_presentations, shuffle_images
 from operadgb.trees import (
     GeneratorSymbol,
     Tree,
     all_trees,
-    find_occurrences,
     iter_positions,
     leaf,
     node,
@@ -38,6 +37,7 @@ from operadgb.trees import (
 
 from oracles import (
     covered,
+    find_occurrences,
     quotient_dimension,
     scanned_overlaps,
     token_list_parse_element,
@@ -87,7 +87,7 @@ def s_polynomials(r1, r2, max_arity, basis):
 
 def test_lie_is_complete_with_jacobi_alone(lie6):
     assert lie6.rule_counts() == {3: 1}
-    assert [count_normal_monomials(lie6, n) for n in range(1, 7)] == \
+    assert [NormalMonomials(lie6).count(n) for n in range(1, 7)] == \
         [1, 1, 2, 6, 24, 120]
 
 
@@ -157,22 +157,22 @@ def test_dimensions_match_bruteforce_oracle():
         p = BUILTINS[name]
         basis = buchberger(p, 4)
         for n in range(1, 5):
-            assert count_normal_monomials(basis, n) == quotient_dimension(p, n), \
+            assert NormalMonomials(basis).count(n) == quotient_dimension(p, n), \
                 (name, n)
 
 
 def test_wsgd_dimension_drop_at_arity4():
     gd = buchberger(BUILTINS["gd"], 4)
     ws = buchberger(BUILTINS["wsgd"], 4)
-    assert count_normal_monomials(gd, 4) == 140
-    assert count_normal_monomials(ws, 4) == 130
+    assert NormalMonomials(gd).count(4) == 140
+    assert NormalMonomials(ws).count(4) == 130
 
 
 def test_dimension_monotone_under_more_relations():
     gd = buchberger(BUILTINS["gd"], 4)
     ws = buchberger(BUILTINS["wsgd"], 4)
     for n in range(1, 5):
-        assert count_normal_monomials(ws, n) <= count_normal_monomials(gd, n)
+        assert NormalMonomials(ws).count(n) <= NormalMonomials(gd).count(n)
 
 
 def test_interreduced_invariant(gd4):
@@ -191,7 +191,7 @@ def test_emit_table(gd4):
 def test_order_invariance_of_dimensions():
     for order_id in ("pathlex", "revpathlex"):
         basis = buchberger(BUILTINS["gd"], 4, order_id=order_id)
-        assert [count_normal_monomials(basis, n) for n in (3, 4)] == [17, 140]
+        assert [NormalMonomials(basis).count(n) for n in (3, 4)] == [17, 140]
 
 
 def test_normal_monomials_are_normal(gd4):
@@ -199,7 +199,7 @@ def test_normal_monomials_are_normal(gd4):
         assert gd4.reducer.find_divisor(t) is None
     # and the reducible ones are exactly the complement
     total = len(all_trees(gd4.generators, 4))
-    assert total - count_normal_monomials(gd4, 4) == \
+    assert total - NormalMonomials(gd4).count(4) == \
         sum(1 for t in all_trees(gd4.generators, 4)
             if gd4.reducer.find_divisor(t) is not None)
 
@@ -240,7 +240,7 @@ def test_save_load_roundtrip(tmp_path, gd4):
     assert loaded.max_arity == gd4.max_arity
     assert {(r.lead, r.tail) for r in loaded.rules} == \
         {(r.lead, r.tail) for r in gd4.rules}
-    assert count_normal_monomials(loaded, 4) == 140
+    assert NormalMonomials(loaded).count(4) == 140
 
 
 FIXTURES = ("gd5", "lie6", "novikov6", "wsgd5")
@@ -324,6 +324,21 @@ def test_load_rejects_v1_file(tmp_path, gd4):
         load_basis(str(path))
 
 
+def test_load_reports_an_unknown_order_as_a_bad_header_field(tmp_path, gd4):
+    """An unknown order under a checksum that matches it is a format
+    error, found before the rules are parsed, not a bare TreeError."""
+    path = tmp_path / "gd4.basis"
+    save_basis(gd4, str(path))
+    lines = path.read_text().splitlines()
+    lines[2] = "order: sideways"
+    lines[7] = "3 not a rule"
+    lines[6] = f"checksum: {_checksum(lines[:6], lines[7:])}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(BasisFormatError, match=r"^bad header field 'order': "
+                       r"unknown order id 'sideways'"):
+        load_basis(str(path))
+
+
 def test_load_rejects_wrong_magic(tmp_path):
     path = tmp_path / "junk.basis"
     path.write_text("not a basis\n")
@@ -341,7 +356,7 @@ def test_wsgd_equals_gd_up_to_arity3():
     gd = buchberger(BUILTINS["gd"], 4)
     ws = buchberger(BUILTINS["wsgd"], 4)
     for n in (1, 2, 3):
-        assert count_normal_monomials(ws, n) == count_normal_monomials(gd, n)
+        assert NormalMonomials(ws).count(n) == NormalMonomials(gd).count(n)
 
 
 def test_echelon_independent_of_input_order(gd4):

@@ -1,7 +1,7 @@
 import pytest
 
 from operadgb.groebner import BudgetExceededError, buchberger
-from operadgb.hilbert import NormalMonomials, count_normal_monomials, emit_table
+from operadgb.hilbert import NormalMonomials, emit_table
 from operadgb.presentation import builtin_presentations
 from operadgb.trees import all_trees
 
@@ -19,7 +19,7 @@ def test_lie_table_factorials(lie5):
 
 
 def test_entry_one_at_arity_one(lie5):
-    assert count_normal_monomials(lie5, 1) == 1
+    assert NormalMonomials(lie5).count(1) == 1
 
 
 def test_bottom_up_matches_filtering(lie5):
@@ -40,4 +40,4 @@ def test_table_text_and_rows(lie5):
 
 def test_out_of_range(lie5):
     with pytest.raises(BudgetExceededError):
-        count_normal_monomials(lie5, 6)
+        NormalMonomials(lie5).count(6)

@@ -268,19 +268,34 @@ def test_generators_lines_add_up():
 
 
 def test_records_are_immutable_values():
-    """The checked records refuse assignment, and their copies and pickles
-    are equal to them, rebuilt through the checking constructors."""
+    """The checked records refuse assignment and deletion, and their
+    copies and pickles are equal to them, rebuilt through the checking
+    constructors.  The hashable ones hash as the tuple of their fields;
+    a spec and a report are unhashable."""
+    gd = builtin_presentations()["gd"]
     records = [(GeneratorSymbol("x", 2), "arity"),
                (ShufflePartition(((1, 3), (2,))), "blocks"),
                (LEFT_SYMMETRY, "terms"),
-               (builtin_presentations()["gd"], "relations"),
-               (case3_envelope(), "bracket")]
+               (gd, "relations"),
+               (case3_envelope(), "bracket"),
+               (CheckReport([("c", False, "w")], "at "), "checks")]
     for record, field in records:
         with pytest.raises(AttributeError, match=f"field '{field}'"):
             setattr(record, field, None)
+        with pytest.raises(AttributeError,
+                           match=f"cannot delete field '{field}'"):
+            delattr(record, field)
         for again in (copy.copy(record), copy.deepcopy(record),
                       pickle.loads(pickle.dumps(record))):
             assert again == record and type(again) is type(record)
+    fields = [("x", 2), (((1, 3), (2,)),),
+              (LEFT_SYMMETRY.name, LEFT_SYMMETRY.nvars, LEFT_SYMMETRY.terms),
+              (gd.name, gd.generators, gd.relations)]
+    for (record, _field), values in zip(records, fields):
+        assert hash(record) == hash(values)
+    for record, _field in records[4:]:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
     assert repr(records[0][0]) == "GeneratorSymbol(name='x', arity=2)"
     assert repr(records[1][0]) == "ShufflePartition(blocks=((1, 3), (2,)))"
     assert repr(CheckReport([("c", False, "w")], "at ")) == \

@@ -214,3 +214,41 @@ def test_only_leaf_and_vertex_intern_trees():
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
         callers |= visitor.found
     assert callers == {"trees.py: leaf", "trees.py: _vertex"}, sorted(callers)
+
+
+def test_only_record_sets_fields_through_object():
+    """``object.__setattr__`` is called only inside ``trees.Record``, and
+    no other class in ``src`` defines ``__setattr__`` or ``__delattr__``,
+    so the value records share one implementation of immutability."""
+
+    class Setters(ast.NodeVisitor):
+        def __init__(self, where):
+            self.where, self.classes, self.found = where, [], set()
+
+        def visit_ClassDef(self, cls):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and \
+                        fn.name in ("__setattr__", "__delattr__"):
+                    self.found.add(f"{self.where}: {cls.name}.{fn.name}")
+            self.classes.append(cls.name)
+            self.generic_visit(cls)
+            self.classes.pop()
+
+        def visit_Call(self, call):
+            func = call.func
+            if isinstance(func, ast.Attribute) and \
+                    func.attr == "__setattr__" and \
+                    isinstance(func.value, ast.Name) and \
+                    func.value.id == "object":
+                owner = self.classes[-1] if self.classes else "<module>"
+                self.found.add(f"{self.where}: object.__setattr__ in {owner}")
+            self.generic_visit(call)
+
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        visitor = Setters(path.name)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found |= visitor.found
+    assert found == {"trees.py: Record.__setattr__",
+                     "trees.py: Record.__delattr__",
+                     "trees.py: object.__setattr__ in Record"}, sorted(found)

@@ -2,7 +2,7 @@ import copy
 import hashlib
 import pickle
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -14,9 +14,7 @@ from operadgb.trees import (
     Tree,
     TreeError,
     all_trees,
-    arity,
     extensions,
-    find_occurrences,
     is_complete,
     leaf,
     min_increasing_blocks,
@@ -30,7 +28,7 @@ from operadgb.trees import (
     substitute,
 )
 
-from oracles import covered, labelled_trees
+from oracles import covered, find_occurrences, labelled_trees
 
 X = GeneratorSymbol("x", 2)
 Y = GeneratorSymbol("y", 2)
@@ -44,9 +42,9 @@ def t(gen, *kids):
 
 
 def test_arity():
-    assert arity(t("x", 1, 2)) == 2
-    assert arity(leaf(1)) == 1
-    assert arity(t("z", t("z", 1, 2), 3)) == 3
+    assert t("x", 1, 2).arity == 2
+    assert leaf(1).arity == 1
+    assert t("z", t("z", 1, 2), 3).arity == 3
 
 
 def test_shuffle_condition_enforced():
@@ -96,6 +94,20 @@ def test_total_order_on_arity3():
     ranked = sorted(mons, key=ORDER.key)
     for i in range(len(ranked) - 1):
         assert ORDER.key(ranked[i]) < ORDER.key(ranked[i + 1])  # transitive chain
+
+
+@pytest.mark.parametrize("order_id", ["pathlex", "revpathlex"])
+def test_below_agrees_with_the_key(order_id):
+    """``below`` decides leaf by leaf what comparing the kept keys decides,
+    on every pair of arity-4 monomials and on sampled arity-5 pairs."""
+    order = order_for(order_id, ("x", "y", "z"))
+    four = all_trees(GENS, 4)
+    rng = random.Random(23)
+    five = all_trees(GENS, 5)
+    pairs = list(product(four, repeat=2)) + \
+        [(rng.choice(five), rng.choice(five)) for _ in range(3000)]
+    for a, b in pairs:
+        assert order.below(a, b) == (order.key(a) < order.key(b)), (a, b)
 
 
 def test_enumeration_counts():
