@@ -479,10 +479,6 @@ def load_basis(path: str, validate: bool = True) -> GroebnerBasis:
             else:
                 tail = parse_element(tail_str, gens)
             rules.append(RewriteRule(lead, tail, i))
-            for m in tail.terms:
-                if not order.below(m, lead):
-                    raise ValueError(f"tail monomial {m} is not below the "
-                                     f"lead under {order_id}")
         except (ValueError, TreeError) as exc:
             raise BasisFormatError(f"bad rule line {i + 1}: {exc}") from None
     basis = GroebnerBasis(pres_name, gens, order, max_arity, rules)
@@ -492,8 +488,10 @@ def load_basis(path: str, validate: bool = True) -> GroebnerBasis:
 
 
 def validate_interreduced(b: GroebnerBasis) -> None:
-    """Check no lead divides another lead or any tail monomial: the only
-    lead occurrence in a lead is the rule itself at the root."""
+    """Check every tail monomial is below its lead, and no lead divides
+    another lead or any tail monomial: the only lead occurrence in a lead
+    is the rule itself at the root.  A loaded rule's id is its line in the
+    rules section, less one."""
     # tail monomials recur across rules: test each once
     is_reducible = cache(lambda t: b.reducer.find_divisor(t) is not None)
     for r in b.rules:
@@ -502,6 +500,10 @@ def validate_interreduced(b: GroebnerBasis) -> None:
                 raise BasisFormatError(
                     f"lead {r.lead} divisible by lead {other.lead}")
         for t in r.tail.terms:
+            if not b.order.below(t, r.lead):
+                raise BasisFormatError(
+                    f"bad rule line {r.rid + 1}: tail monomial {t} is not "
+                    f"below the lead under {b.order_id}")
             if is_reducible(t):
                 raise BasisFormatError(
                     f"tail monomial {t} of rule {r.lead} is reducible")

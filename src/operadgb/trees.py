@@ -268,21 +268,24 @@ class TreeOrder:
             i = 0
             while label not in t.children[i].leaves:
                 i += 1
-            word.append((self._rank[t.gen], i))
+            word.append(self._letter(t, i))
             t = t.children[i]
         return word
+
+    def _letter(self, t: Tree, i: int) -> tuple[int, int]:
+        """The path-word letter of child ``i`` of vertex ``t``."""
+        try:
+            return self._rank[t.gen], i
+        except KeyError:
+            raise TreeError(f"generator {t.gen!r} not covered by order "
+                            f"{self.order_id}") from None
 
     def _collect(self, t: Tree, prefix: tuple, out: dict[int, tuple]) -> None:
         if t.is_leaf:
             out[t.label] = prefix
             return
-        try:
-            r = self._rank[t.gen]
-        except KeyError:
-            raise TreeError(f"generator {t.gen!r} not covered by order "
-                            f"{self.order_id}") from None
         for i, c in enumerate(t.children):
-            self._collect(c, prefix + ((r, i),), out)
+            self._collect(c, prefix + (self._letter(t, i),), out)
 
 
 ORDER_IDS = ("pathlex", "revpathlex")

@@ -7,9 +7,10 @@ exact Gaussian elimination over the full monomial basis of each arity.
 ``trees``: every planar tree over the generators, its leaves labelled in
 every order, kept where the checked ``node`` accepts the labelling.
 ``find_occurrences`` finds every divisor occurrence by trying the
-pattern at each vertex of the host.  Overlaps are found by scanning each of those monomials that has a lead at
-its root for a second lead; the scan uses the reducer's lead index, which
-``test_groebner`` checks against trying every rule at every position.
+pattern at each vertex of the host.  Overlaps are found by scanning each
+of those monomials that has a lead at its root for a second lead; the
+scan uses the reducer's lead index, which ``test_groebner`` checks
+against trying every rule at every position.
 Differential Poisson normal forms are recomputed by a greatest-first
 worklist that does not share the memoized normal-form engine.
 ``fraction_memo_normal_form`` and ``fraction_echelon`` are the two kernels

@@ -110,6 +110,16 @@ def test_below_agrees_with_the_key(order_id):
         assert order.below(a, b) == (order.key(a) < order.key(b)), (a, b)
 
 
+def test_key_and_below_refuse_a_generator_the_order_does_not_cover():
+    order = order_for("pathlex", ("x", "y"))
+    t = node("z", [leaf(1), leaf(2)])
+    u = node("x", [leaf(1), leaf(2)])
+    with pytest.raises(TreeError, match="'z' not covered by order pathlex"):
+        order.key(t)
+    with pytest.raises(TreeError, match="'z' not covered by order pathlex"):
+        order.below(t, u)
+
+
 def test_enumeration_counts():
     # (2n-3)!! shapes-with-labelings per generator word over one binary generator
     only_z = (Z,)
