@@ -488,10 +488,9 @@ def load_basis(path: str, validate: bool = True) -> GroebnerBasis:
 
 
 def validate_interreduced(b: GroebnerBasis) -> None:
-    """Check every tail monomial is below its lead, and no lead divides
+    """Check every tail monomial is below its lead and no lead divides
     another lead or any tail monomial: the only lead occurrence in a lead
-    is the rule itself at the root.  A loaded rule's id is its line in the
-    rules section, less one."""
+    is the rule itself at the root."""
     # tail monomials recur across rules: test each once
     is_reducible = cache(lambda t: b.reducer.find_divisor(t) is not None)
     for r in b.rules:

@@ -273,7 +273,6 @@ class TreeOrder:
         return word
 
     def _letter(self, t: Tree, i: int) -> tuple[int, int]:
-        """The path-word letter of child ``i`` of vertex ``t``."""
         try:
             return self._rank[t.gen], i
         except KeyError:
@@ -283,7 +282,6 @@ class TreeOrder:
     def _collect(self, t: Tree, prefix: tuple, out: dict[int, tuple]) -> None:
         if t.is_leaf:
             out[t.label] = prefix
-            return
         for i, c in enumerate(t.children):
             self._collect(c, prefix + (self._letter(t, i),), out)
 
@@ -481,10 +479,6 @@ class ShufflePartition(Record):
 _ALL_TREES: dict = {}
 
 
-def _gens_sig(gens: Sequence[GeneratorSymbol]) -> tuple:
-    return tuple((g.name, g.arity) for g in gens)
-
-
 def _block_graftings(levels: Sequence[Sequence[Tree]]
                      ) -> Iterator[tuple[Tree, ...]]:
     """Every tuple of trees in shuffle position whose i-th tree is one of
@@ -540,7 +534,7 @@ def vertices(gens: Sequence[GeneratorSymbol], n: int,
 def all_trees(gens: Sequence[GeneratorSymbol], n: int) -> tuple[Tree, ...]:
     """All shuffle tree monomials of arity ``n`` over the given generators,
     with leaves labelled 1..n.  Cached per (generators, n)."""
-    key = (_gens_sig(gens), n)
+    key = (tuple(gens), n)
     cached = _ALL_TREES.get(key)
     if cached is not None:
         return cached
