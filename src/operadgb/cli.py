@@ -71,6 +71,8 @@ class UsageError(ValueError):
 
 
 def _load_presentation(args: argparse.Namespace):
+    if args.preset and args.input_path:
+        raise UsageError("give --preset or --input, not both")
     if args.preset:
         builtins = builtin_presentations()
         if args.preset not in builtins:
@@ -127,6 +129,8 @@ def _generators_used(t) -> set[tuple[str, int]]:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
+    if args.identity and args.input_path:
+        raise UsageError("give --input or --identity, not both")
     basis = load_basis(args.basis_path)
     if args.order_id and args.order_id != basis.order_id:
         raise OrderMismatchError(
@@ -303,7 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its help (code 0) or its usage and error
+        return EXIT_OK if exc.code == 0 else EXIT_PARSE
     try:
         return args.handler(args)
     except BudgetExceededError as exc:

@@ -499,7 +499,7 @@ def validate_interreduced(b: GroebnerBasis) -> None:
                 raise BasisFormatError(
                     f"lead {r.lead} divisible by lead {other.lead}")
         for t in r.tail.terms:
-            if not b.order.below(t, r.lead):
+            if b.order.key(t) >= b.order.key(r.lead):
                 raise BasisFormatError(
                     f"bad rule line {r.rid + 1}: tail monomial {t} is not "
                     f"below the lead under {b.order_id}")

@@ -72,7 +72,8 @@ class GeneratorSymbol(Record):
     arity: int
 
     def __init__(self, name: str, arity: int) -> None:
-        if not name or not name[0].isalpha():
+        # a name token of the syntax: ASCII letter, then letters, digits, _
+        if not (name.isascii() and name.isidentifier() and name[0].isalpha()):
             raise TreeError(f"bad generator name {name!r}")
         if arity < 2:
             raise TreeError(f"generator {name}: arity must be >= 2")
@@ -237,53 +238,36 @@ class TreeOrder:
         self._rank = {name: i for i, name in enumerate(self.precedence)}
         if len(self._rank) != len(self.precedence):
             raise TreeError("duplicate generator in precedence list")
-        self._keys: dict[Tree, tuple] = {}
+        self._keys: dict[Tree, str] = {}
 
     def __repr__(self) -> str:
         return f"TreeOrder({self.order_id}, {'<'.join(self.precedence)})"
 
-    def key(self, t: Tree) -> tuple:
-        """Sort key; valid for comparing monomials of equal arity."""
+    def key(self, t: Tree) -> str:
+        """Sort key; valid for comparing monomials of equal arity: a char for
+        the size, then per leaf in label order one for its word's length in
+        letters and two per letter (rank, child index), so words line up."""
         k = self._keys.get(t)
         if k is None:
-            words: dict[int, tuple] = {}
-            self._collect(t, (), words)
-            k = (t.size, tuple((len(words[l]), words[l]) for l in t.leaves))
+            words: dict[int, str] = {}
+            self._collect(t, "", words)
+            k = chr(t.size) + "".join(chr(len(words[l]) // 2) + words[l]
+                                      for l in t.leaves)
             self._keys[t] = k
         return k
 
-    def below(self, a: Tree, b: Tree) -> bool:
-        """``key(a) < key(b)``, decided leaf by leaf without keeping keys."""
-        if a.size != b.size:
-            return a.size < b.size
-        for la, lb in zip(a.leaves, b.leaves):
-            wa, wb = self._word(a, la), self._word(b, lb)
-            if wa != wb:
-                return (len(wa), wa) < (len(wb), wb)
-        return False
-
-    def _word(self, t: Tree, label: int) -> list[tuple[int, int]]:
-        word = []
-        while t.gen is not None:
-            i = 0
-            while label not in t.children[i].leaves:
-                i += 1
-            word.append(self._letter(t, i))
-            t = t.children[i]
-        return word
-
-    def _letter(self, t: Tree, i: int) -> tuple[int, int]:
+    def _letter(self, t: Tree, i: int) -> str:
         try:
-            return self._rank[t.gen], i
+            return chr(self._rank[t.gen]) + chr(i)
         except KeyError:
             raise TreeError(f"generator {t.gen!r} not covered by order "
                             f"{self.order_id}") from None
 
-    def _collect(self, t: Tree, prefix: tuple, out: dict[int, tuple]) -> None:
+    def _collect(self, t: Tree, prefix: str, out: dict[int, str]) -> None:
         if t.is_leaf:
             out[t.label] = prefix
         for i, c in enumerate(t.children):
-            self._collect(c, prefix + (self._letter(t, i),), out)
+            self._collect(c, prefix + self._letter(t, i), out)
 
 
 ORDER_IDS = ("pathlex", "revpathlex")

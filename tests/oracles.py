@@ -6,6 +6,9 @@ exact Gaussian elimination over the full monomial basis of each arity.
 ``labelled_trees`` enumerates shuffle trees without the enumerator of
 ``trees``: every planar tree over the generators, its leaves labelled in
 every order, kept where the checked ``node`` accepts the labelling.
+``path_word_key`` is the monomial order's key as the nested tuples it
+was kept as before it became a string: the size, then each leaf's
+``(len(word), word)`` with the word's letters as ``(rank, child)`` pairs.
 ``find_occurrences`` finds every divisor occurrence by trying the
 pattern at each vertex of the host.  Overlaps are found by scanning each
 of those monomials that has a lead at its root for a second lead; the
@@ -266,6 +269,23 @@ def rank_kept_residues(residues, basis) -> list[int]:
             rows += [reduce_element(img, basis).terms
                      for img in element_orbit(res)]
     return kept
+
+
+def path_word_key(order: TreeOrder, t: Tree) -> tuple:
+    """The reference key of ``t`` under ``order``: ``(size, ((len(w), w)
+    for each leaf word w in label order))``, where a word lists (generator
+    rank, child index) for each vertex from the root down to the leaf."""
+    rank = {name: i for i, name in enumerate(order.precedence)}
+    words = {}
+
+    def collect(u, prefix):
+        if u.is_leaf:
+            words[u.label] = prefix
+        for i, c in enumerate(u.children):
+            collect(c, prefix + ((rank[u.gen], i),))
+
+    collect(t, ())
+    return t.size, tuple((len(words[l]), words[l]) for l in t.leaves)
 
 
 def find_occurrences(pattern: Tree, host: Tree) -> list[Occurrence]:

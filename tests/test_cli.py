@@ -226,6 +226,8 @@ def test_saved_basis_and_dims_are_pinned(preset, arity, tmp_path, capsys):
     ("rules", "ten"),
     ("generators", "x y/2 z/2"),
     ("generators", "x/2 y/2 z/2 u/1"),
+    # a name no rule could spell, not an unknown generator 'a' in a rule
+    ("generators", "x/2 a-b/2 z/2"),
 ])
 def test_dims_reports_a_bad_header_field(field, value, tmp_path, capsys):
     """A header field that does not parse is a format error, even under a
@@ -408,9 +410,15 @@ def test_dims_reports_a_header_generator_spec_at_its_column(tmp_path, capsys):
       for d in ("2", "1", "0", "-1")],
     *[(["gb", "--preset", "gd", "--max-arity", n],
        f"--max-arity must be positive, got {n}\n") for n in ("0", "-2")],
+    # a second input would be dropped without a word
+    (["gb", "--preset", "lie", "--input", "foo.pres"],
+     "give --preset or --input, not both\n"),
+    (["reduce", "--basis", "{basis}", "--identity", "spec1", "--input", "F"],
+     "give --input or --identity, not both\n"),
 ], ids=["preset", "no-input", "no-element", "identity", "up-to",
         "degree-2", "degree-1", "degree-0", "degree-minus-1",
-        "max-arity-0", "max-arity-minus-2"])
+        "max-arity-0", "max-arity-minus-2", "preset-and-input",
+        "identity-and-input"])
 def test_usage_errors_have_no_position(argv, message, tmp_path, capsys):
     basis = tmp_path / "gd3.basis"
     assert run(["gb", "--preset", "gd", "--max-arity", "3", "-o", str(basis)],
@@ -419,6 +427,40 @@ def test_usage_errors_have_no_position(argv, message, tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert "line" not in err
+
+
+ARGPARSE_ERRORS = {
+    "no-command": [],
+    "no-degree": ["ambiguities"],
+    "bad-int": ["gb", "--max-arity", "x"],
+}
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_ERRORS.values(),
+                         ids=ARGPARSE_ERRORS.keys())
+def test_argparse_errors_return_the_usage_code(argv, capsys):
+    """An argument argparse refuses is a usage error, exit 1 like every
+    other: 2 is the arity budget.  ``main`` returns it rather than raising
+    ``SystemExit``, and argparse's usage text stays on stderr."""
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: operadgb") and "error: " in err
+
+
+def test_help_returns_zero(capsys):
+    code, out, err = run(["--help"], capsys)
+    assert (code, err) == (0, "") and out.startswith("usage: operadgb")
+
+
+def test_the_process_exits_1_on_an_argparse_error(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "operadgb.cli",
+                           "ambiguities"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert "the following arguments are required: --degree" in done.stderr
 
 
 @pytest.mark.parametrize("source, identity, message", [

@@ -317,6 +317,11 @@ def test_presentation_errors():
     ("operad p\ngenerators x/2 u/1\n",
      "line 2, column 16: generator u: arity must be >= 2"),
     ("operad p\ngenerators 1x/2\n", "line 2, column 12: bad generator name '1x'"),
+    # names the monomial syntax cannot spell, so no relation could use them
+    ("operad p\ngenerators x/2 a-b/2\n",
+     "line 2, column 16: bad generator name 'a-b'"),
+    ("operad p\ngenerators \u00e9/2\n",
+     "line 2, column 12: bad generator name '\u00e9'"),
     ("operad p\ngenerators x/2 y\n",
      "line 2, column 16: generator spec 'y' must look like name/arity"),
     ("operad p\n  generators  x/2   x/2  # twice\nrelations:\nx(1 2)\n",
@@ -328,8 +333,8 @@ def test_presentation_errors():
     # a clash with a base named later is reported at the generator too
     ("operad p\ngenerators w/2 y/2\nextends gd\nrelations:\nw(1 2)\n",
      "line 2, column 16: generator 'y' already defined"),
-], ids=["arity", "name", "spec", "repeat", "two-lines", "base",
-        "base-after"])
+], ids=["arity", "name", "hyphen", "non-ascii", "spec", "repeat",
+        "two-lines", "base", "base-after"])
 def test_generator_errors_have_their_position(text, message):
     with pytest.raises(ParseError) as err:
         parse_presentation(text)

@@ -216,6 +216,43 @@ def test_only_leaf_and_vertex_intern_trees():
     assert callers == {"trees.py: leaf", "trees.py: _vertex"}, sorted(callers)
 
 
+def test_tree_order_has_one_comparison():
+    """``TreeOrder.key`` is the one encoding of the monomial order: it is
+    the class's only public method, and no code outside the class reads
+    the key cache or the helpers that build a key."""
+    private = {"_keys", "_collect", "_letter"}
+
+    class Readers(ast.NodeVisitor):
+        def __init__(self, where):
+            self.where, self.classes, self.found = where, [], set()
+
+        def visit_ClassDef(self, cls):
+            self.classes.append(cls.name)
+            self.generic_visit(cls)
+            self.classes.pop()
+
+        def visit_Attribute(self, attr):
+            if attr.attr in private and self.classes[-1:] != ["TreeOrder"]:
+                self.found.add(f"{self.where}:{attr.lineno}: {attr.attr}")
+            self.generic_visit(attr)
+
+    methods, readers = None, set()
+    tests = Path(__file__).resolve().parent
+    for path in sorted([*SRC.glob("*.py"), *PERFBENCH.glob("*.py"),
+                        *tests.glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        visitor = Readers(path.name)
+        visitor.visit(tree)
+        readers |= visitor.found
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "TreeOrder":
+                methods = {fn.name for fn in cls.body
+                           if isinstance(fn, ast.FunctionDef)
+                           and not fn.name.startswith("_")}
+    assert methods == {"key"}, methods
+    assert not readers, sorted(readers)
+
+
 def test_only_record_sets_fields_through_object():
     """``object.__setattr__`` is called only inside ``trees.Record``, and
     no other class in ``src`` defines ``__setattr__`` or ``__delattr__``,
