@@ -84,9 +84,6 @@ class Combination:
     def __hash__(self) -> int:
         return hash((self._space(), frozenset(self.terms.items())))
 
-    def coeff(self, t: Hashable) -> Fraction:
-        return self.terms.get(t, Fraction(0))
-
     def lead(self, key: Callable[[Hashable], object]) -> Hashable:
         """The greatest monomial under ``key``."""
         if not self.terms:
@@ -233,10 +230,11 @@ def graft_terms(host: Tree, occ: Occurrence, terms: Mapping[Tree, object]
 # ---------------------------------------------------------------------------
 
 def add_term(acc: dict[Hashable, Fraction], t: Hashable, c: Fraction) -> None:
-    """``acc[t] += c`` in place, dropping the entry if it cancels."""
+    """``acc[t] += c`` in place; a zero is never stored."""
     s = acc.get(t)
     if s is None:
-        acc[t] = c
+        if c:
+            acc[t] = c
     elif s := s + c:
         acc[t] = s
     else:

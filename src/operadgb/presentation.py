@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from typing import Iterable
 
@@ -349,6 +350,7 @@ _Y = GeneratorSymbol("y", 2)
 _Z = GeneratorSymbol("z", 2)
 
 
+@cache
 def _build_builtins() -> dict[str, Presentation]:
     novikov_rels = (symmetric_to_shuffle(LEFT_SYMMETRY)
                     + symmetric_to_shuffle(RIGHT_COMMUTATIVITY))
@@ -366,14 +368,9 @@ def _build_builtins() -> dict[str, Presentation]:
     }
 
 
-_BUILTINS: dict[str, Presentation] | None = None
-
-
 def builtin_presentations() -> dict[str, Presentation]:
-    global _BUILTINS
-    if _BUILTINS is None:
-        _BUILTINS = _build_builtins()
-    return dict(_BUILTINS)
+    """The presets by name, built once, in a fresh dict for each caller."""
+    return dict(_build_builtins())
 
 
 # ---------------------------------------------------------------------------

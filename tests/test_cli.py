@@ -77,6 +77,36 @@ def test_zero_denominator_is_a_parse_error(tmp_path, capsys):
     assert (code, err) == (1, "error: line 2, column 3: zero denominator\n")
 
 
+def test_gb_refuses_a_relation_with_a_zero_coefficient(tmp_path, capsys):
+    """``0 x(...)`` parses to the zero element, so it is refused as a zero
+    relation instead of completing with no rules."""
+    path = tmp_path / "p.txt"
+    path.write_text("operad p\ngenerators x/2\nrelations:\n0 x(x(1 2) 3)\n")
+    assert run(["gb", "--input", str(path), "--max-arity", "3"], capsys) == (
+        1, "", "error: p: zero relation\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gb", "--input", "{bad}", "--max-arity", "3"],
+    ["dims", "--basis", "{bad}"],
+    ["reduce", "--basis", "{bad}", "--identity", "spec1"],
+    ["reduce", "--basis", "{basis}", "--input", "{bad}"],
+    ["check-gd", "{bad}"],
+], ids=["gb", "dims", "reduce-basis", "reduce-input", "check-gd"])
+def test_a_file_that_is_not_utf8_is_a_parse_error(argv, tmp_path, capsys):
+    """Undecodable input is one ``error:`` line and exit 1, not a
+    ``UnicodeDecodeError`` traceback."""
+    bad, basis = tmp_path / "bad.txt", tmp_path / "gd3.basis"
+    bad.write_bytes(b"\xff\xfeoperad p\n")
+    assert run(["gb", "--preset", "gd", "--max-arity", "3", "-o", str(basis)],
+               capsys)[0] == 0
+    code, out, err = run([a.format(bad=bad, basis=basis) for a in argv],
+                         capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_reduce_spec1_nonzero_mod_gd(tmp_path, capsys):
     basis_path = str(tmp_path / "gd4.basis")
     assert main(["gb", "--preset", "gd", "--max-arity", "4",

@@ -49,7 +49,7 @@ def test_add_basics():
 
 def test_canonicalization_drops_zeros():
     f = OperadElement({t("x", 1, 2): Fraction(0), t("y", 1, 2): Fraction(1, 2)})
-    assert len(f) == 1 and f.coeff(t("y", 1, 2)) == Fraction(1, 2)
+    assert len(f) == 1 and f.terms[t("y", 1, 2)] == Fraction(1, 2)
     with pytest.raises(ElementError):
         OperadElement({t("x", 1, 2): 1, leaf(1): 1})
 
@@ -59,7 +59,7 @@ def test_leading_and_monic():
     assert f.lead(ORDER.key) == t("z", 1, 2)
     g = f.monic(ORDER)
     assert g.leading_coeff(ORDER) == 1
-    assert g.coeff(t("x", 1, 2)) == Fraction(1, 2)
+    assert g.terms[t("x", 1, 2)] == Fraction(1, 2)
 
 
 def _clean(c):

@@ -26,7 +26,7 @@ from operadgb.syntax import (
     parse_element,
     parse_monomial,
 )
-from operadgb.trees import GeneratorSymbol, ShufflePartition
+from operadgb.trees import GeneratorSymbol, ShufflePartition, TreeError
 
 from oracles import (
     consequence_pivots,
@@ -70,6 +70,17 @@ def test_parse_examples():
         parse_element("w(1 2)", GD.generators)
     with pytest.raises(ParseError):
         parse_element("x(1 2 3)", GD.generators)
+
+
+def test_an_explicit_zero_coefficient_is_dropped():
+    """A ``0`` coefficient stores no term, so ``0 x(1 2)`` is the zero
+    element and a relation written as ``0 ...`` is a zero relation."""
+    assert parse_element("0 x(1 2)", GD.generators) == OperadElement.zero(2)
+    assert parse_element("x(x(1 2) 3) + 0 x(x(1 3) 2)", GD.generators) == \
+        parse_element("x(x(1 2) 3)", GD.generators)
+    with pytest.raises(TreeError, match="^p: zero relation$"):
+        parse_presentation("operad p\ngenerators x/2\nrelations:\n"
+                           "0 x(x(1 2) 3)\n")
 
 
 @pytest.mark.parametrize("parse, text, message", [

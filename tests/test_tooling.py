@@ -4,6 +4,9 @@ fail here rather than as failed operations in a benchmark run."""
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from operadgb import groebner
@@ -100,13 +103,35 @@ def test_buchberger_eliminates_through_the_module_global(monkeypatch):
 SRC = Path(__file__).resolve().parent.parent / "src" / "operadgb"
 
 
+def _loaded_by(module):
+    """The ``operadgb`` modules a fresh interpreter holds after importing
+    ``module`` alone."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; print(*sorted("
+         "m for m in sys.modules if m.startswith('operadgb.')))"],
+        env=env, capture_output=True, text=True, timeout=600, check=True)
+    return set(done.stdout.split())
+
+
+def test_each_module_loads_only_what_it_imports():
+    """The package root re-exports nothing, so importing one module does
+    not load the others; ``cli`` imports every module the tracer wraps,
+    which it looks up in ``sys.modules`` right after importing ``cli``."""
+    assert _loaded_by("operadgb.trees") == {"operadgb.trees"}
+    assert not _loaded_by("operadgb.groebner") & {
+        f"operadgb.{m}" for m in ("diffpoisson", "gdmodels", "commutative",
+                                  "hilbert", "cli")}
+    assert {f"operadgb.{m}" for m, _path, _kind in traced_targets()} \
+        <= _loaded_by("operadgb.cli")
+
+
 def test_src_has_no_unused_imports():
     """Every name a module imports is read somewhere in it; annotations
     count, since they parse as names."""
     unused = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = {}
         for stmt in ast.walk(tree):
@@ -143,32 +168,92 @@ def _read_names(tree):
     return out
 
 
+def _bound(fn):
+    """The parameters of ``fn`` and every name stored inside it, nested
+    scopes included: a load of one of these names in ``fn`` may be a
+    local, so it does not count as reading a top-level name."""
+    a = fn.args
+    params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+    stored = {n.id for n in ast.walk(fn)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    declared = {name for n in ast.walk(fn) if isinstance(n, ast.Global)
+                for name in n.names}
+    return {p.arg for p in params if p} | stored - declared
+
+
+class _FreeLoads(ast.NodeVisitor):
+    """Names loaded where no enclosing function, lambda or comprehension
+    binds the same name."""
+
+    def __init__(self):
+        self.bound, self.loads = [], set()
+
+    def visit_Name(self, name):
+        if isinstance(name.ctx, ast.Load) and \
+                not any(name.id in b for b in self.bound):
+            self.loads.add(name.id)
+
+    def _scope(self, node, names):
+        self.bound.append(names)
+        self.generic_visit(node)
+        self.bound.pop()
+
+    def visit_FunctionDef(self, fn):
+        self._scope(fn, _bound(fn))
+
+    visit_AsyncFunctionDef = visit_Lambda = visit_FunctionDef
+
+    def visit_ListComp(self, comp):
+        self._scope(comp, {n.id for g in comp.generators
+                           for n in ast.walk(g.target)
+                           if isinstance(n, ast.Name)})
+
+    visit_SetComp = visit_DictComp = visit_GeneratorExp = visit_ListComp
+
+
+def _top_level_readers(tree):
+    """What reads a top-level name: a load that no local or parameter of
+    the same name shadows, or an import of it."""
+    visitor = _FreeLoads()
+    visitor.visit(tree)
+    return visitor.loads | {alias.name for n in ast.walk(tree)
+                            if isinstance(n, ast.ImportFrom)
+                            for alias in n.names}
+
+
 def test_every_src_name_has_a_reader():
     """Each top-level name and each public method defined in
     ``src/operadgb`` is read somewhere in the package (its own definition
-    aside), is part of the API that ``__init__`` imports, or is used by the
-    benchmark scripts, whose tracer names its targets as strings.
-    Test-only code belongs in ``tests/``."""
-    readers = set()
-    for script in sorted(PERFBENCH.glob("*.py")):
-        readers |= _read_names(ast.parse(script.read_text(encoding="utf-8")))
-    readers |= {part for _mod, path, _kind in traced_targets()
-                for part in path.split(".")}
-    defined = {}
-    for path in sorted(SRC.glob("*.py")):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            names = _defined_names(stmt)
-            readers |= _read_names(stmt) - names
-            for name in names - {"__all__"}:
+    aside) or by the benchmark scripts, whose tracer names its targets as
+    strings.  A method is read only through an attribute of its name, and
+    a top-level name only through a load that is not a same-named local or
+    parameter, or an import.  Test-only code belongs in ``tests/``."""
+    names = {part for _mod, path, _kind in traced_targets()
+             for part in path.split(".")}
+    attributes = set(names)
+    defined, methods = {}, {}
+    for path in sorted([*PERFBENCH.glob("*.py"), *SRC.glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        attributes |= {n.attr for n in ast.walk(tree)
+                       if isinstance(n, ast.Attribute)}
+        if path.parent == PERFBENCH:
+            names |= _top_level_readers(tree)
+            continue
+        for stmt in tree.body:
+            own = _defined_names(stmt)
+            names |= _top_level_readers(stmt) - own
+            for name in own:
                 defined[name] = f"{path.name}:{stmt.lineno}: {name}"
             if isinstance(stmt, ast.ClassDef):
                 for method in stmt.body:
                     if isinstance(method, ast.FunctionDef) and \
                             not method.name.startswith("_"):
-                        defined[method.name] = (f"{path.name}:{method.lineno}"
+                        methods[method.name] = (f"{path.name}:{method.lineno}"
                                                 f": {stmt.name}.{method.name}")
     unread = [where for name, where in sorted(defined.items())
-              if name not in readers]
+              if name not in names]
+    unread += [where for name, where in sorted(methods.items())
+               if name not in attributes]
     assert not unread, unread
 
 
