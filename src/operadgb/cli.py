@@ -70,6 +70,16 @@ class UsageError(ValueError):
     """A bad command-line argument; it has no source position."""
 
 
+def _read_text(path: str) -> str:
+    """The contents of a UTF-8 text file; an undecodable one is a usage
+    error that names it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from None
+
+
 def _load_presentation(args: argparse.Namespace):
     if args.preset and args.input_path:
         raise UsageError("give --preset or --input, not both")
@@ -81,8 +91,7 @@ def _load_presentation(args: argparse.Namespace):
         return builtins[args.preset]
     if not args.input_path:
         raise UsageError("need --preset or --input")
-    with open(args.input_path, encoding="utf-8") as fh:
-        return parse_presentation(fh.read())
+    return parse_presentation(_read_text(args.input_path))
 
 
 def cmd_gb(args: argparse.Namespace) -> int:
@@ -153,8 +162,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     else:
         if not args.input_path:
             raise UsageError("need --input or --identity")
-        with open(args.input_path, encoding="utf-8") as fh:
-            lines = [l.split("#", 1)[0].strip() for l in fh.read().splitlines()]
+        lines = [l.split("#", 1)[0].strip()
+                 for l in _read_text(args.input_path).splitlines()]
         elems = [parse_element(l, basis.generators, line=i + 1)
                  for i, l in enumerate(lines) if l]
         if not elems:
@@ -219,8 +228,7 @@ def cmd_ambiguities(args: argparse.Namespace) -> int:
 
 
 def cmd_check_gd(args: argparse.Namespace) -> int:
-    with open(args.input_path, encoding="utf-8") as fh:
-        table = GDTable.parse(fh.read())
+    table = GDTable.parse(_read_text(args.input_path))
     report = check_gd_axioms(table)
     print(report.as_text())
     if not report.passed:
@@ -318,7 +326,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (UsageError, ParseError, TreeError, GroebnerError, GDModelError,
-            OSError, UnicodeDecodeError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

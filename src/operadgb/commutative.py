@@ -19,6 +19,8 @@ ONE: Mono = ()
 
 
 def mono(*pairs) -> Mono:
+    """The monomial of the (variable, exponent) pairs: the exponents of a
+    repeated variable add up, and zero exponents are dropped."""
     acc: dict = {}
     for v, e in pairs:
         acc[v] = acc.get(v, 0) + e
@@ -26,14 +28,7 @@ def mono(*pairs) -> Mono:
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    acc = dict(a)
-    for v, e in b:
-        acc[v] = acc.get(v, 0) + e
-    return tuple(sorted((v, e) for v, e in acc.items() if e))
+    return mono(*a, *b)
 
 
 def mono_degree(a: Mono) -> int:
@@ -46,12 +41,9 @@ def mono_divides(a: Mono, b: Mono) -> bool:
 
 
 def mono_div(a: Mono, b: Mono) -> Mono:
-    acc = dict(a)
-    for v, e in b:
-        acc[v] = acc.get(v, 0) - e
-        if acc[v] < 0:
-            raise ValueError("monomial division not exact")
-    return tuple(sorted((v, e) for v, e in acc.items() if e))
+    if not mono_divides(b, a):
+        raise ValueError("monomial division not exact")
+    return mono(*a, *((v, -e) for v, e in b))
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
@@ -98,10 +90,8 @@ class Poly(Combination):
         # lowering the exponent of v is injective on the monomials with v
         out: dict[Mono, Fraction] = {}
         for m, c in self.terms.items():
-            md = dict(m)
-            if e := md.get(v):
-                md[v] = e - 1
-                out[tuple(sorted((w, x) for w, x in md.items() if x))] = c * e
+            if e := dict(m).get(v):
+                out[mono(*m, (v, -1))] = c * e
         return self._like(out)
 
     def __repr__(self) -> str:

@@ -2,7 +2,9 @@
 
 The carrier is the symmetric algebra on the free Lie algebra over derived
 letters b^(n), where b runs over multilinear normal monomials exported by
-the Groebner engine.  Weight-(-1) multilinear monomials (a letter b^(n)
+the Groebner engine.  A letter's base b is that interned normal monomial
+with its leaves labelled by its variables, so a letter is the same object
+in every context.  Weight-(-1) multilinear monomials (a letter b^(n)
 weighs n - 1 and a bracket 1) rewrite, by the two ideal-generated rule
 families below, down to plain GD expressions; critical pairs of the
 rewriting surface exactly the special identities.
@@ -54,26 +56,11 @@ class DiffPoissonError(ValueError):
     pass
 
 
-class BasisElem:
-    """A basis letter: a normal GD monomial over a fixed variable set."""
-
-    __slots__ = ("tree", "vars", "key")
-
-    def __init__(self, tree: Tree, vars: tuple[int, ...], key: tuple):
-        self.tree = tree
-        self.vars = vars
-        self.key = key
-
-    @property
-    def degree(self) -> int:
-        return len(self.vars)
-
-    def __repr__(self) -> str:
-        return f"BasisElem({self.tree}@{self.vars})"
-
-
 class Letter(NamedTuple):
-    base: BasisElem
+    """``base^(order)``: ``base`` is a normal GD monomial whose leaves are
+    labelled by its variables."""
+
+    base: Tree
     order: int
 
 
@@ -86,7 +73,7 @@ App = tuple
 
 
 def monomial_degree(pm: PMonomial) -> int:
-    return sum(l.base.degree for c in pm for l in c)
+    return sum(l.base.arity for c in pm for l in c)
 
 
 def measure(pm: PMonomial) -> tuple:
@@ -129,38 +116,28 @@ class RewriteContext:
     def __init__(self, basis: GroebnerBasis):
         self.basis = basis
         self.order = basis.order
-        self._bases: dict[tuple[Tree, tuple[int, ...]], BasisElem] = {}
-        self._circ: dict = {}
-        self._bracket: dict = {}
+        # one normal form per (b1, b2, bracket), one sort key per letter
+        self._compose: dict = {}
+        self._letter_key: dict[Letter, tuple] = {}
         # normal form per monomial; valid for the context's lifetime, since
         # the context is bound to one basis
         self._nf_memo: dict = {}
 
     # -- letters -----------------------------------------------------------
 
-    def base(self, tree: Tree, vars: Sequence[int]) -> BasisElem:
-        vars = tuple(vars)
-        key = (tree, vars)
-        found = self._bases.get(key)
-        if found is None:
-            if tree.arity != len(vars):
-                raise DiffPoissonError("variable set does not match arity")
-            if tuple(sorted(vars)) != vars:
-                raise DiffPoissonError("variable sets are kept sorted")
-            found = BasisElem(tree, vars,
-                              (len(vars), vars, self.order.key(tree)))
-            self._bases[key] = found
-        return found
-
-    def var_base(self, v: int) -> BasisElem:
-        return self.base(leaf(1), (v,))
-
-    def var_letter(self, v: int, order: int = 0) -> Letter:
-        return Letter(self.var_base(v), order)
-
     @staticmethod
-    def letter_key(l: Letter) -> tuple:
-        return (l.base.key, -l.order)
+    def var_letter(v: int, order: int = 0) -> Letter:
+        return Letter(leaf(v), order)
+
+    def letter_key(self, l: Letter) -> tuple:
+        """Letters compare by degree, variables and base monomial, then
+        higher derivatives first."""
+        k = self._letter_key.get(l)
+        if k is None:
+            b = l.base
+            k = self._letter_key[l] = ((b.arity, b.leaves, self.order.key(b)),
+                                       -l.order)
+        return k
 
     def chain_key(self, c: Chain) -> tuple:
         return (len(c), tuple(self.letter_key(l) for l in c))
@@ -189,24 +166,22 @@ class RewriteContext:
 
     # -- GD arithmetic on basis letters -------------------------------------
 
-    def compose(self, b1: BasisElem, b2: BasisElem, bracket: bool) \
-            -> dict[BasisElem, Fraction]:
+    def compose(self, b1: Tree, b2: Tree, bracket: bool) \
+            -> dict[Tree, Fraction]:
         """The normal form of b1 o b2, or of {b1, b2} when ``bracket``, as
-        a combination of basis letters."""
-        cache = self._bracket if bracket else self._circ
-        hit = cache.get((b1, b2))
+        a combination of basis letters over the union of their variables."""
+        key = (b1, b2, bracket)
+        hit = self._compose.get(key)
         if hit is not None:
             return hit
-        union = tuple(sorted(b1.vars + b2.vars))
-        if len(set(union)) != len(union):
+        if not set(b1.leaves).isdisjoint(b2.leaves):
             raise DiffPoissonError("letters must have disjoint variables")
-        pos = {v: i + 1 for i, v in enumerate(union)}
-        t1 = relabel_ordered(b1.tree, [pos[v] for v in b1.vars])
-        t2 = relabel_ordered(b2.tree, [pos[v] for v in b2.vars])
-        sign, tree = convert_term((BR if bracket else CIRC, t1, t2))
-        nf = reduce_element(OperadElement.monomial(tree, sign), self.basis)
-        result = {self.base(t, union): c for t, c in nf.terms.items()}
-        cache[(b1, b2)] = result
+        sign, tree = convert_term((BR if bracket else CIRC, b1, b2))
+        union = tree.leaves
+        nf = reduce_element(OperadElement.monomial(
+            relabel_ordered(tree, range(1, len(union) + 1)), sign), self.basis)
+        result = {relabel_ordered(t, union): c for t, c in nf.terms.items()}
+        self._compose[key] = result
         return result
 
     # -- rule applications ---------------------------------------------------
@@ -281,14 +256,10 @@ class RewriteContext:
                        flip: int) -> dict[PMonomial, Fraction]:
         alpha = pm[ai][0]
         chain = pm[ci]
-        if flip:
-            interior = chain[:-2] + (chain[-1],)
-            blet = chain[-2]
-            sgn = -1
-        else:
-            interior = chain[:-1]
-            blet = chain[-1]
-            sgn = 1
+        # alpha is absorbed by the last letter, or with flip 1 by the other
+        # letter of the innermost bracket; the rest is the interior
+        b = len(chain) - 1 - flip
+        blet, interior, sgn = chain[b], chain[:b] + chain[b + 1:], (-1) ** flip
         n = blet.order
         if n < 1 or alpha.order != 0:
             raise DiffPoissonError("P-rule needs underived factor and derived chain end")
@@ -360,9 +331,9 @@ class RewriteContext:
                 raise DiffPoissonError(
                     f"normal form is not a GD expression: {format_monomial(pm)}")
             base = pm[0][0].base
-            if base.vars != want:
+            if base.leaves != want:
                 raise DiffPoissonError("normal form does not cover all variables")
-            add_term(terms, base.tree, c)
+            add_term(terms, base, c)
         return OperadElement(terms, nvars)
 
     # -- weight-(-1) enumeration and ambiguities ------------------------------
@@ -450,21 +421,18 @@ def _splits(letters: Chain) -> list[tuple[Chain, Chain]]:
 # ---------------------------------------------------------------------------
 
 def format_letter(l: Letter) -> str:
-    base = l.base
-    if base.degree == 1:
-        body = VAR_NAMES[base.vars[0] - 1]
-    else:
-        names = {i + 1: VAR_NAMES[v - 1] for i, v in enumerate(base.vars)}
-        body = "(" + _tree_with_names(base.tree, names) + ")"
+    body = _tree_with_names(l.base)
+    if not l.base.is_leaf:
+        body = f"({body})"
     if l.order <= 3:
         return body + "'" * l.order
     return f"{body}^({l.order})"
 
 
-def _tree_with_names(t: Tree, names: dict[int, str]) -> str:
+def _tree_with_names(t: Tree) -> str:
     if t.is_leaf:
-        return names[t.label]
-    return f"{t.gen}({' '.join(_tree_with_names(c, names) for c in t.children)})"
+        return VAR_NAMES[t.label - 1]
+    return f"{t.gen}({' '.join(map(_tree_with_names, t.children))})"
 
 
 def format_chain(c: Chain) -> str:
@@ -505,7 +473,7 @@ def classify_degree4(pm: PMonomial) -> str:
     if lens == [1, 3]:
         chain = next(c for c in pm if len(c) == 3)
         q, _r, s = chain
-        return "A1" if s.base.key > q.base.key else "A2"
+        return "A1" if s.base.leaves > q.base.leaves else "A2"
     if lens == [1, 1, 2]:
         chain = next(c for c in pm if len(c) == 2)
         orders = sorted(l.order for l in chain)

@@ -411,8 +411,11 @@ def save_basis(b: GroebnerBasis, path: str) -> None:
 
 
 def load_basis(path: str, validate: bool = True) -> GroebnerBasis:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise BasisFormatError(f"{path}: {exc}") from None
     lines = text.splitlines()
     if lines and lines[0] == _MAGIC_V1:
         raise BasisFormatError(

@@ -94,8 +94,8 @@ def test_gb_refuses_a_relation_with_a_zero_coefficient(tmp_path, capsys):
     ["check-gd", "{bad}"],
 ], ids=["gb", "dims", "reduce-basis", "reduce-input", "check-gd"])
 def test_a_file_that_is_not_utf8_is_a_parse_error(argv, tmp_path, capsys):
-    """Undecodable input is one ``error:`` line and exit 1, not a
-    ``UnicodeDecodeError`` traceback."""
+    """Undecodable input is one ``error:`` line that names the file and
+    exit 1, not a ``UnicodeDecodeError`` traceback."""
     bad, basis = tmp_path / "bad.txt", tmp_path / "gd3.basis"
     bad.write_bytes(b"\xff\xfeoperad p\n")
     assert run(["gb", "--preset", "gd", "--max-arity", "3", "-o", str(basis)],
@@ -104,6 +104,7 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(argv, tmp_path, capsys):
                          capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err
     assert "Traceback" not in err
 
 
@@ -212,10 +213,11 @@ def test_ambiguities_trace_is_pinned(degree, modulo, capsys):
         == AMBIGUITIES_SHA256[degree, modulo, True]
 
 
-@pytest.mark.extended
-@pytest.mark.parametrize("modulo", ["wsgd", "gd"])
+@pytest.mark.parametrize("modulo", [
+    "wsgd", pytest.param("gd", marks=pytest.mark.extended)])
 def test_ambiguities_degree5_is_pinned(modulo, capsys):
-    """Degree 5 is the first with P-rules on 4-letter chains."""
+    """Degree 5 is the first with P-rules on 4-letter chains; modulo gd
+    adds the independence filtration, which takes longer."""
     assert ambiguities_sha256("5", modulo, False, capsys) \
         == AMBIGUITIES_SHA256["5", modulo, False]
 

@@ -9,6 +9,7 @@ from operadgb.commutative import Poly, mono
 from operadgb.diffpoisson import (
     Ambiguity,
     Chain,
+    DiffPoissonError,
     Letter,
     PMonomial,
     RewriteContext,
@@ -36,7 +37,7 @@ from operadgb.presentation import (
     element_orbit,
     symmetric_to_shuffle,
 )
-from operadgb.trees import all_trees
+from operadgb.trees import all_trees, leaf, relabel_ordered
 
 from oracles import PoissonModel, rank_kept_residues, worklist_normal_form
 
@@ -108,18 +109,18 @@ def poisson_replacement(ctx, pm):
 
 
 def test_lie_rule_table_case(ctx):
-    a, b = ctx.var_base(2), ctx.var_base(1)
+    a, b = leaf(2), leaf(1)
     repl = ctx.apply(lie_principal(ctx, a, b, 0), ("L", 0))
     # {a,b} -> [a,b]: a single underived letter of degree 2
     assert len(repl) == 1
     (pm, c), = repl.items()
     assert len(pm) == 1 and len(pm[0]) == 1 and pm[0][0].order == 0
-    assert pm[0][0].base.degree == 2
+    assert pm[0][0].base.arity == 2
 
 
 def test_lie_rule_first_derivative(ctx):
     # {b,c'} -> [b,c]' + {c,b'}   (i.e. -{b',c})
-    b, c = ctx.var_base(2), ctx.var_base(1)
+    b, c = leaf(2), leaf(1)
     repl = ctx.apply(lie_principal(ctx, b, c, 1), ("L", 0))
     bracket_letter = [pm for pm in repl if pm[0][0].order == 1 and len(pm[0]) == 1]
     swapped = [pm for pm in repl if len(pm[0]) == 2]
@@ -131,7 +132,7 @@ def test_lie_rule_first_derivative(ctx):
 
 def test_poisson_rule_product_case(ctx):
     # a b' -> a o b
-    a, b = ctx.var_base(1), ctx.var_base(2)
+    a, b = leaf(1), leaf(2)
     repl = poisson_replacement(
         ctx, ctx.make_monomial([(Letter(a, 0),), (Letter(b, 1),)]))
     circ = ctx.compose(a, b, bracket=False)
@@ -182,9 +183,34 @@ def test_normal_form_product_rule(ctx):
     pm = ctx.make_monomial([(ctx.var_letter(1),), (ctx.var_letter(2, 1),)])
     nf = ctx.normal_form({pm: Fraction(1)})
     e = ctx.to_operad(nf, 2)
-    circ = ctx.compose(ctx.var_base(1), ctx.var_base(2),
-                       bracket=False)
-    assert e.terms == {b.tree: c for b, c in circ.items()}
+    assert e.terms == ctx.compose(leaf(1), leaf(2), bracket=False)
+
+
+# -- guards ------------------------------------------------------------------
+
+def test_to_operad_refuses_a_normal_form_that_is_not_a_gd_expression(ctx):
+    _s, chain = ctx.make_chain((ctx.var_letter(2), ctx.var_letter(1)))
+    for pm in (ctx.make_monomial([chain]),
+               ctx.make_monomial([(ctx.var_letter(1),), (ctx.var_letter(2),)]),
+               ctx.make_monomial([(ctx.var_letter(1, 1),)])):
+        with pytest.raises(DiffPoissonError, match="not a GD expression"):
+            ctx.to_operad({pm: Fraction(1)}, 2)
+
+
+def test_to_operad_refuses_a_letter_that_misses_a_variable(ctx):
+    circ = ctx.compose(leaf(1), leaf(3), bracket=False)
+    assert circ and all(t.leaves == (1, 3) for t in circ)
+    for base in (leaf(1), next(iter(circ))):
+        with pytest.raises(DiffPoissonError, match="does not cover all"):
+            ctx.to_operad({((Letter(base, 0),),): Fraction(1)}, 3)
+
+
+def test_compose_refuses_letters_that_share_a_variable(ctx):
+    beta = next(iter(ctx.compose(leaf(1), leaf(3), bracket=True)))
+    for b1, b2 in ((leaf(2), leaf(2)), (beta, leaf(3)), (leaf(1), beta)):
+        for bracket in (False, True):
+            with pytest.raises(DiffPoissonError, match="disjoint variables"):
+                ctx.compose(b1, b2, bracket)
 
 
 def test_normal_form_routes_of_a3_monomial(ctx, gd4):
@@ -224,12 +250,6 @@ def test_normal_form_matches_worklist_oracle(ctx):
         assert ctx.normal_form(poly) == worklist_normal_form(ctx, poly)
 
 
-def _transplant(pm, ctx):
-    """The same monomial over the letters of another context."""
-    return tuple(tuple(Letter(ctx.base(l.base.tree, l.base.vars), l.order)
-                       for l in c) for c in pm)
-
-
 def test_trace_does_not_depend_on_the_memo(gd4):
     """Each pair's trace is the same on a fresh context as on one that has
     already computed every pair, in reverse order; on a fresh context it
@@ -240,8 +260,8 @@ def test_trace_does_not_depend_on_the_memo(gd4):
         warm.residue(amb)
     for amb in ambs:
         fresh = RewriteContext(gd4)
-        pm = _transplant(amb.monomial, fresh)
-        starts = [fresh.apply(pm, app) for app in (amb.app1, amb.app2)]
+        starts = [fresh.apply(amb.monomial, app)
+                  for app in (amb.app1, amb.app2)]
         fresh.normal_form(starts[0])
         reducible = [m for m, (_den, nf) in fresh._nf_memo.items()
                      if m not in nf]
@@ -418,8 +438,8 @@ def _swap_vars_poly(ctx, poly, perm):
         chains = []
         for ch in pm:
             letters = tuple(
-                Letter(ctx.base(l.base.tree,
-                                tuple(sorted(perm[v] for v in l.base.vars))),
+                Letter(relabel_ordered(l.base,
+                                       [perm[v] for v in l.base.leaves]),
                        l.order) for l in ch)
             s, nc = ctx.make_chain(letters)
             sign *= s
@@ -484,10 +504,10 @@ def test_rewriting_sound_in_poisson_model(ctx):
             terms[m] = terms.get(m, 0) + Fraction(rng.randint(-2, 2))
         assign[v] = Poly(terms) + Poly.var(("x", v % 3))
 
-    def eval_tree(t, vars):
+    def eval_tree(t):
         if t.is_leaf:
-            return assign[vars[t.label - 1]]
-        l, r = (eval_tree(c, vars) for c in t.children)
+            return assign[t.label]
+        l, r = map(eval_tree, t.children)
         if t.gen == "x":
             return model.circ(l, r)
         if t.gen == "y":
@@ -495,7 +515,7 @@ def test_rewriting_sound_in_poisson_model(ctx):
         return model.bracket(l, r)
 
     def eval_letter(l):
-        val = eval_tree(l.base.tree, l.base.vars)
+        val = eval_tree(l.base)
         for _ in range(l.order):
             val = model.d(val)
         return val
