@@ -22,12 +22,11 @@ Reduction is deterministic: a monomial's one rewrite step uses the divisor
 at its first pre-order position, rules tried in a fixed order (arity, lead
 key, rid), so normal forms are linear and are memoized per monomial by
 :func:`~operadgb.elements.normal_form`: a step grafts the rule's tail
-terms into the monomial as they are.  A trie over the leads' pre-order
-skeletons yields the candidate rules at a position in that order, each
-confirmed by a full occurrence match, so the index cannot change the
-divisor.  The divisor of each proper subtree is memoized, so a subtree
-that many monomials share is searched once.  The reducer fills its memos
-lazily, so it is not safe to share between threads.
+terms into the monomial as they are.  The lead index, a trie over the
+leads' pre-order skeletons, is the match: its walk finds the leads at a
+position in that order.  The divisor of each proper subtree is memoized,
+so a subtree that many monomials share is searched once.  The reducer
+fills its memos lazily, so it is not safe to share between threads.
 """
 
 from __future__ import annotations
@@ -64,6 +63,7 @@ from .trees import (
     Tree,
     TreeError,
     TreeOrder,
+    in_shuffle_position,
     iter_positions,
     occurrence_at,
     order_for,
@@ -116,17 +116,21 @@ class _Reducer:
     def __init__(self, rules: Sequence[RewriteRule], order: TreeOrder):
         self.order = order
         self.rules = tuple(rules)
-        # rule order: (arity, lead key, rid); a trie node is (next, ranks)
+        # rule order: (arity, lead key, rid); a trie node is (next, ends),
+        # an end (rank, perm): perm lists the wildcards in leaf-label order
         self._ranked = sorted(
             self.rules, key=lambda r: (r.arity, order.key(r.lead), r.rid))
-        self._trie: tuple[dict, list[int]] = ({}, [])
+        self._trie: tuple[dict, list[tuple[int, tuple[int, ...]]]] = ({}, [])
         for rank, r in enumerate(self._ranked):
-            trie, todo = self._trie, [r.lead]
+            trie, todo, labels = self._trie, [r.lead], []
             while todo:  # pre-order
                 t = todo.pop()
                 trie = trie[0].setdefault(t.gen, ({}, []))
+                if t.gen is None:
+                    labels.append(t.label)
                 todo.extend(reversed(t.children))
-            trie[1].append(rank)
+            trie[1].append((rank, tuple(
+                sorted(range(len(labels)), key=labels.__getitem__))))
         self._memo: dict = {}  # for elements.normal_form
         self._divisors: dict[Tree, tuple[RewriteRule, Occurrence] | None] = {}
 
@@ -136,34 +140,37 @@ class _Reducer:
         for path in iter_positions(m):
             yield from self.occurrences_at(m, path)
 
-    def candidates(self, sub: Tree) -> list[RewriteRule]:
-        """The rules whose lead skeleton fits ``sub`` at its root, in rule
-        order; a superset of the leads that divide ``sub`` there."""
-        ranks: list[int] = []
-        # pending subtrees in pre-order, as a linked list (head, rest)
-        stack = [(self._trie, (sub, None))]
+    def occurrences_at(self, m: Tree, path: tuple[int, ...]):
+        """The ``(rule, occurrence)`` pairs anchored at ``path``, in rule
+        order.  The trie walk is the match: a lead's skeleton fits (a name
+        has one arity) exactly when its slots are the subtrees the walk
+        passes on wildcard edges, and it occurs when they are in shuffle
+        position in its leaf-label order."""
+        sub = subtree_at(m, path)
+        if sub.gen is None:
+            return
+        # pending subtrees in pre-order, as a linked list (head, rest), and
+        # the subtrees caught on wildcard edges, in pre-order
+        hits, stack = [], [(self._trie, (sub, None), ())]
         while stack:
-            (nxt, here), pending = stack.pop()
+            (nxt, ends), pending, caught = stack.pop()
             if pending is None:
-                ranks += here
+                hits += [(rank, perm, caught) for rank, perm in ends]
                 continue
             t, rest = pending
             if None in nxt:
-                stack.append((nxt[None], rest))
+                stack.append((nxt[None], rest, caught + (t,)))
             if t.gen is not None and t.gen in nxt:
                 for c in reversed(t.children):
                     rest = (c, rest)
-                stack.append((nxt[t.gen], rest))
-        ranks.sort()
-        return [self._ranked[i] for i in ranks]
-
-    def occurrences_at(self, m: Tree, path: tuple[int, ...]):
-        """The ``(rule, occurrence)`` pairs anchored at ``path``, in rule
-        order."""
-        for rule in self.candidates(subtree_at(m, path)):
-            occ = occurrence_at(rule.lead, m, path)
-            if occ is not None:
-                yield rule, occ
+                stack.append((nxt[t.gen], rest, caught))
+        if not hits:
+            return
+        hits.sort()  # ranks are distinct: one skeleton fits one way
+        for rank, perm, caught in hits:
+            slots = tuple([caught[i] for i in perm])
+            if in_shuffle_position(slots):
+                yield self._ranked[rank], Occurrence(path, slots)
 
     def find_divisor(self, m: Tree) -> tuple[RewriteRule, Occurrence] | None:
         """The first of ``occurrences(m)``: the divisor the strategy uses.
@@ -497,15 +504,15 @@ def validate_interreduced(b: GroebnerBasis) -> None:
     # tail monomials recur across rules: test each once
     is_reducible = cache(lambda t: b.reducer.find_divisor(t) is not None)
     for r in b.rules:
+        bad = f"bad rule line {r.rid + 1}:"
         for other, _occ in b.reducer.occurrences(r.lead):
             if other is not r:
-                raise BasisFormatError(
-                    f"lead {r.lead} divisible by lead {other.lead}")
+                raise BasisFormatError(f"{bad} lead {r.lead} divisible by lead "
+                                       f"{other.lead} of line {other.rid + 1}")
         for t in r.tail.terms:
             if b.order.key(t) >= b.order.key(r.lead):
-                raise BasisFormatError(
-                    f"bad rule line {r.rid + 1}: tail monomial {t} is not "
-                    f"below the lead under {b.order_id}")
+                raise BasisFormatError(f"{bad} tail monomial {t} is not below "
+                                       f"the lead under {b.order_id}")
             if is_reducible(t):
                 raise BasisFormatError(
-                    f"tail monomial {t} of rule {r.lead} is reducible")
+                    f"{bad} tail monomial {t} of rule {r.lead} is reducible")

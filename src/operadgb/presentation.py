@@ -115,7 +115,7 @@ def convert_term(term: Term) -> tuple[int, Tree]:
     sa, ta = convert_term(a)
     sb, tb = convert_term(b)
     sign = sa * sb
-    if ta.min_leaf < tb.min_leaf:
+    if ta.leaves[0] < tb.leaves[0]:
         return sign, node(straight, (ta, tb))
     return sign * swap_sign, node(swapped, (tb, ta))
 

@@ -136,10 +136,6 @@ class Tree:
     def arity(self) -> int:
         return len(self.leaves)
 
-    @property
-    def min_leaf(self) -> int:
-        return self.leaves[0]
-
     def __repr__(self) -> str:
         return f"Tree({self})"
 
@@ -179,12 +175,9 @@ def node(gen: str, children: Sequence[Tree]) -> Tree:
         return cached
     if len(kids) < 1:
         raise TreeError("internal vertex needs at least one child")
-    prev_min = 0
-    for c in kids:
-        if c.min_leaf <= prev_min:
-            raise TreeError(
-                f"children minima must strictly increase: {[str(k) for k in kids]}")
-        prev_min = c.min_leaf
+    if not in_shuffle_position(kids):
+        raise TreeError(
+            f"children minima must strictly increase: {[str(k) for k in kids]}")
     return _vertex(gen, kids)
 
 
@@ -198,6 +191,17 @@ def _vertex(gen: str, kids: tuple[Tree, ...],
             leaves = _sorted_distinct([l for c in kids for l in c.leaves])
         t = Tree._intern(gen, kids, 0, leaves, 1 + sum(c.size for c in kids))
     return t
+
+
+def in_shuffle_position(trees: Sequence[Tree]) -> bool:
+    """True when the minimal leaf labels of ``trees`` strictly increase:
+    the condition on a vertex's children and on an occurrence's slots."""
+    prev = 0
+    for t in trees:
+        if t.leaves[0] <= prev:
+            return False
+        prev = t.leaves[0]
+    return True
 
 
 def _sorted_distinct(labels: list[int]) -> tuple[int, ...]:
@@ -315,27 +319,16 @@ def _match_at(pattern: Tree, sub: Tree, slots: dict[int, Tree]) -> bool:
 
 
 def occurrence_at(pattern: Tree, host: Tree, path: tuple[int, ...]) -> Occurrence | None:
-    """The unique occurrence of ``pattern`` anchored at ``path``, if any.
-
-    Matching pairs children positionally (forced by the shuffle condition)
-    and then checks that slot minima are increasing along the pattern's leaf
-    labels, which makes the leaf relabeling an order isomorphism.
-    """
+    """The unique occurrence of ``pattern`` anchored at ``path``, if any:
+    children pair up positionally (forced by the shuffle condition), and
+    the slots, in the pattern's leaf-label order, must be in shuffle
+    position, which makes the leaf relabeling an order isomorphism."""
     sub = subtree_at(host, path)
-    if sub.is_leaf:
-        return None
     slots: dict[int, Tree] = {}
-    if not _match_at(pattern, sub, slots):
+    if sub.is_leaf or not _match_at(pattern, sub, slots):
         return None
-    prev = 0
-    ordered = []
-    for lab in pattern.leaves:
-        s = slots[lab]
-        if s.min_leaf <= prev:
-            return None
-        prev = s.min_leaf
-        ordered.append(s)
-    return Occurrence(path, tuple(ordered))
+    ordered = tuple([slots[lab] for lab in pattern.leaves])
+    return Occurrence(path, ordered) if in_shuffle_position(ordered) else None
 
 
 def iter_positions(t: Tree, prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:

@@ -304,13 +304,20 @@ def _rule_edits(lines):
     does not cover, and with a rule whose tail has a smaller arity than
     its lead under a checksum that matches it.  Also, under matching
     checksums, the basis with a header ``max_arity: 2`` below its rules,
-    and a one-rule basis whose tail is above its lead under ``pathlex``."""
+    a one-rule basis whose tail is above its lead under ``pathlex``, the
+    basis with its first rule line repeated, and the basis whose last rule
+    has the first lead as its tail."""
     arity = _vouched(lines[:7] + ["9" + lines[7][1:]] + lines[8:])
     tail = _vouched(lines[:7] + [lines[7].split(" => ")[0] + " => x(1 2)"]
                     + lines[8:])
     over = _vouched(lines[:4] + ["max_arity: 2"] + lines[5:])
     upward = _vouched(lines[:5] + ["rules: 1", "",
                                    "3 x(1 x(2 3)) => 1*x(x(1 2) 3)"])
+    twice = _vouched(lines[:5] + [f"rules: {len(lines) - 6}", ""]
+                     + lines[7:8] + lines[7:])
+    first_lead = lines[7].split(" => ")[0].split(" ", 1)[1]
+    reducible = _vouched(lines[:-1] + [
+        lines[-1].split(" => ")[0] + " => 1*" + first_lead])
     return {"arity-field": (arity, "bad rule line 1: arity field '9'"),
             "trailing-rule": (lines + [lines[7]],
                               f"line {len(lines) + 1}: text after the"),
@@ -319,12 +326,19 @@ def _rule_edits(lines):
                                      "max_arity 2\n"),
             "tail-above-lead": (upward, "bad rule line 1: tail monomial "
                                         "x(x(1 2) 3) is not below the lead "
-                                        "under pathlex\n")}
+                                        "under pathlex\n"),
+            "duplicate-lead": (twice, "bad rule line 1: lead x(x(1 2) 3) "
+                                      "divisible by lead x(x(1 2) 3) of "
+                                      "line 2\n"),
+            "reducible-tail": (reducible, "bad rule line 10: tail monomial "
+                                          "x(x(1 2) 3) of rule z(z(1 2) 3) "
+                                          "is reducible\n")}
 
 
 @pytest.mark.parametrize("case", ["arity-field", "trailing-rule",
                                   "tail-arity", "over-max-arity",
-                                  "tail-above-lead"])
+                                  "tail-above-lead", "duplicate-lead",
+                                  "reducible-tail"])
 def test_dims_rejects_a_rule_line_the_checksum_does_not_vouch_for(
         case, tmp_path, capsys):
     path = tmp_path / "gd3.basis"

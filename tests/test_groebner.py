@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import product
 
 import pytest
 
@@ -30,6 +31,7 @@ from operadgb.trees import (
     all_trees,
     iter_positions,
     leaf,
+    min_increasing_blocks,
     node,
     order_for,
     relabel_ordered,
@@ -395,12 +397,13 @@ def scan_occurrences(rules, order, m):
 
 def assert_index_matches_scan(rules, order, monomials):
     reducer = _Reducer(rules, order)
-    hits = 0
+    found = []
     for m in monomials:
         expected = scan_occurrences(rules, order, m)
         assert list(reducer.occurrences(m)) == expected, m
-        hits += len(expected)
-    assert hits  # the scan must not be vacuous
+        found += expected
+    assert found  # the scan must not be vacuous
+    return found
 
 
 def test_lead_index_matches_scan_up_to_arity4(gd5, wsgd5):
@@ -415,6 +418,25 @@ def test_lead_index_matches_scan_at_arity5(gd5, wsgd5):
     for basis in (gd5, wsgd5, buchberger(BUILTINS["novikov"], 5)):
         sample = rng.sample(all_trees(basis.generators, 5), 300)
         assert_index_matches_scan(basis.rules, basis.order, sample)
+
+
+def test_lead_index_matches_scan_at_arity6(gd5, wsgd5):
+    """Arity-6 hosts built from two relabelled arity-3 children: slots
+    more than one vertex deep, and leads such as ``x(y(1 3) 2)`` whose
+    leaf labels do not increase in pre-order, so the walk must put the
+    slots it passes into leaf-label order."""
+    rng = random.Random(67)
+    for basis in (gd5, wsgd5):
+        threes = all_trees(basis.generators, 3)
+        blocks = list(min_increasing_blocks(range(1, 7), (3, 3)))
+        picks = rng.sample(list(product(basis.generators, threes, threes,
+                                        blocks)), 200)
+        hosts = [node(g.name, [relabel_ordered(a, left),
+                               relabel_ordered(b, right)])
+                 for g, a, b, (left, right) in picks]
+        found = assert_index_matches_scan(basis.rules, basis.order, hosts)
+        assert any(s.size > 1 for _rule, occ in found for s in occ.slots)
+        assert any(str(rule.lead) == "x(y(1 3) 2)" for rule, _occ in found)
 
 
 def test_memoized_divisor_is_the_first_occurrence(gd5, wsgd5):

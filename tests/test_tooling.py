@@ -12,7 +12,7 @@ from pathlib import Path
 from operadgb import groebner
 from operadgb.groebner import _Reducer, buchberger
 from operadgb.presentation import builtin_presentations
-from operadgb.trees import all_trees, iter_positions, order_for, subtree_at
+from operadgb.trees import order_for
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACED = PERFBENCH / "traced.py"
@@ -59,28 +59,6 @@ def test_benchmark_imports_resolve():
 
 def test_reducer_keeps_the_memo_the_tracer_reads():
     assert isinstance(_Reducer((), order_for("pathlex", ("x",)))._memo, dict)
-
-
-def test_reducer_matches_through_the_module_global(monkeypatch):
-    """The tracer counts ``trees.occurrence_at`` by replacing the name in
-    ``groebner``; the reducer must look it up there, once per trie
-    candidate at most."""
-    basis = buchberger(builtin_presentations()["gd"], 4)
-    reducer = _Reducer(basis.rules, basis.order)
-    monomials = all_trees(basis.generators, 4)[::7]
-    candidates = sum(len(reducer.candidates(subtree_at(m, p)))
-                     for m in monomials for p in iter_positions(m))
-    calls = []
-    real = groebner.occurrence_at
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(groebner, "occurrence_at", counted)
-    for m in monomials:
-        list(reducer.occurrences(m))
-    assert 0 < len(calls) <= candidates
 
 
 def test_buchberger_eliminates_through_the_module_global(monkeypatch):
@@ -255,6 +233,23 @@ def test_every_src_name_has_a_reader():
     unread += [where for name, where in sorted(methods.items())
                if name not in attributes]
     assert not unread, unread
+
+
+def test_the_reducer_matches_by_its_trie_walk_alone():
+    """``_Reducer`` finds lead occurrences by its trie walk, which is the
+    match, so it calls no second matcher; ``groebner`` reads
+    ``occurrence_at`` only in ``overlaps``, whose single-rule check is
+    then all that the tracer's ``trees.occurrence_at`` counts."""
+    tree = ast.parse((SRC / "groebner.py").read_text(encoding="utf-8"))
+    matchers = {"occurrence_at", "_match_at"}
+    readers = {}
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            name = getattr(stmt, "name", f"<module>:{stmt.lineno}")
+            readers[name] = matchers & _read_names(stmt)
+    assert readers["_Reducer"] == set()
+    assert {name for name, read in readers.items()
+            if "occurrence_at" in read} == {"overlaps"}
 
 
 def test_integer_pairs_stay_inside_elements():

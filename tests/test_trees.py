@@ -176,7 +176,7 @@ def test_occurrence_requires_order_isomorphism():
     host2 = t("z", t("z", 1, 4), t("z", 2, 3))
     occ = occurrence_at(pat, host2, ())
     assert occ is not None
-    assert [s.min_leaf for s in occ.slots] == [1, 2, 4]
+    assert [s.leaves[0] for s in occ.slots] == [1, 2, 4]
 
 
 def test_grafting_reconstructs_host():
@@ -205,7 +205,7 @@ def assert_vertex_well_formed(m):
         return
     assert m.leaves == tuple(sorted(l for c in m.children for l in c.leaves))
     assert m.size == 1 + sum(c.size for c in m.children)
-    minima = [c.min_leaf for c in m.children]
+    minima = [c.leaves[0] for c in m.children]
     assert minima == sorted(set(minima))
 
 
